@@ -12,13 +12,13 @@ constant in the angle-ratio inequality.
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 from rootmatch import ModelSpace, q_subspace, sample_ratio, stabilizer_generators
 from rootmatch.modelgeom import (
     diagonal_exact,
     exact_commutator,
     rotation_generator_exact,
+    stabilizer_rotation,
     trace_inner,
 )
 
@@ -47,8 +47,8 @@ print("  stabilizer has", len(stabilizer_generators(model, v)), "generators")
 # Stabilizer rotations keep Q_v inside the complement of the flat: the
 # degenerate case of the ratio inequality, checked directly.
 worst = 0.0
-for k in stabilizer_generators(model, v):
-    h = expm(1.3 * k)
+for coeffs in 1.3 * np.eye(len(stabilizer_generators(model, v))):
+    h = stabilizer_rotation(model, v, coeffs)  # exp(1.3 k) of one generator k
     for b in q_subspace(model, v):
         moved = h @ b @ h.T
         worst = max(worst, float(np.linalg.norm(np.diag(moved))))

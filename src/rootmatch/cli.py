@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import numpy as np
 from . import __version__
 from .chamber import enumerate_faces, verify_codim_bounds
 from .errors import (
+    EpsilonTooLargeError,
     ExcludedSpaceError,
     FrameFileError,
     MalformedMatrixError,
@@ -209,7 +211,9 @@ def _load_matrix_file(path: str) -> list[list[int]]:
         raise FrameFileError("rows field does not match entries")
     if "cols" in data and any(len(r) != data["cols"] for r in entries):
         raise FrameFileError("cols field does not match entries")
-    return [[int(x) for x in r] for r in entries]
+    if any(type(x) is not int or x not in (0, 1) for r in entries for x in r):
+        raise MalformedMatrixError("matrix entries must be the JSON integers 0 or 1")
+    return entries
 
 
 def _trace_payload(trace) -> dict:
@@ -246,30 +250,23 @@ def cmd_match(args) -> tuple[int, str]:
         "version": __version__,
         "inputs_digest": _digest(entries),
     }
-    status = 0
+    greedy_found = False
     try:
         result, trace = greedy_match(entries)
         obj["pairs"] = [[j + 1, k + 1] for j, k in result.pairs]
-        obj["valid"] = validate(entries, result)
-        if not obj["valid"]:
-            status = 1
+        obj["valid"] = greedy_found = validate(entries, result)
         if args.trace:
             obj["trace"] = _trace_payload(trace)
-        if args.oracle:
-            oracle = oracle_match(entries)
-            obj["oracle_found"] = oracle is not None
-            obj["oracle_agrees"] = oracle is not None
-            if not obj["oracle_agrees"]:
-                status = 1
     except NoMatchingError as exc:
         obj["pairs"] = None
         obj["error"] = "no matching found"
         if args.trace and exc.trace is not None:
             obj["trace"] = _trace_payload(exc.trace)
-        if args.oracle:
-            oracle = oracle_match(entries)
-            obj["oracle_found"] = oracle is not None
-        status = 1
+    agrees = True
+    if args.oracle:
+        obj["oracle_found"] = oracle_match(entries) is not None
+        obj["oracle_agrees"] = agrees = obj["oracle_found"] == greedy_found
+    status = 0 if greedy_found and agrees else 1
     return status, _json_report(obj)
 
 
@@ -277,20 +274,53 @@ def cmd_match(args) -> tuple[int, str]:
 # verify
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+class _ListArg(list):
+    """Values of a comma-separated option that keep its text for the inputs digest."""
+
+    def __init__(self, text: str, values: list):
+        super().__init__(values)
+        self.text = text
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _comma_list(text: str, convert, accept, what: str) -> _ListArg:
+    try:
+        values = [convert(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or not all(accept(x) for x in values):
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return _ListArg(text, values)
+
+
+def _seed_list(text: str) -> _ListArg:
+    return _comma_list(text, int, lambda x: x >= 0, "comma-separated non-negative integers")
+
+
+def _epsilon_list(text: str) -> _ListArg:
+    return _comma_list(
+        text, float, lambda x: math.isfinite(x) and x > 0, "comma-separated positive numbers"
+    )
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _check_epsilons(epsilons: list[float], model: ModelSpace) -> None:
+    """Reject perturbation sizes the perturbed pipeline would refuse, before any work."""
+    if max(epsilons) >= model.epsilon_zero:
+        raise EpsilonTooLargeError(
+            f"--epsilon values must be below 1/n^2 = {model.epsilon_zero:g} for n = {model.n}"
+        )
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    if not 4 <= args.n <= 8:
-        raise FrameFileError("verify needs 4 <= n <= 8")
-    seeds = _parse_int_list(args.seeds)
-    epsilons = _parse_float_list(args.epsilon)
+    seeds = args.seeds
+    epsilons = args.epsilon
     model = ModelSpace(args.n)
+    _check_epsilons(epsilons, model)
     space = lookup_space(f"SL({args.n},R)")
     if args.frame:
         frame = load_frame(args.frame, space).vectors
@@ -382,7 +412,8 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def _sweep_checks(args):
-    seeds = _parse_int_list(args.seeds)
+    seeds = args.seeds
+    _check_epsilons(args.epsilon, ModelSpace(4))
     checks: list[tuple[str, bool, str]] = []
 
     ok = True
@@ -500,7 +531,7 @@ def _sweep_checks(args):
         ("ratio_stability", ok, f"estimates {['%.3f' % e for e in estimates]}")
     )
 
-    epsilons = _parse_float_list(args.epsilon)
+    epsilons = args.epsilon
     ok = True
     detail = ""
     for s in seeds[:3]:
@@ -543,8 +574,8 @@ def cmd_all(args) -> tuple[int, str]:
             {
                 "fuzz_count": args.fuzz_count,
                 "samples": args.samples,
-                "seeds": args.seeds,
-                "epsilon": args.epsilon,
+                "seeds": args.seeds.text,
+                "epsilon": args.epsilon.text,
             }
         ),
         "checks": [
@@ -599,20 +630,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("verify", help="numeric pipelines on the SL(n,R) model")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, choices=range(4, 9), required=True)
     p.add_argument("--frame")
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--epsilon", default="1e-2,1e-3,1e-4")
+    p.add_argument("--samples", type=_positive_int, default=2000)
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3,4,5")
+    p.add_argument("--epsilon", type=_epsilon_list, default="1e-2,1e-3,1e-4")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("all", help="full verification sweep")
-    p.add_argument("--fuzz-count", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seeds", default="1,2,3,4,5")
-    p.add_argument("--epsilon", default="1e-2,1e-3,1e-4")
+    p.add_argument("--fuzz-count", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
+    p.add_argument("--seeds", type=_seed_list, default="1,2,3,4,5")
+    p.add_argument("--epsilon", type=_epsilon_list, default="1e-2,1e-3,1e-4")
     p.add_argument("--json", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_all)
@@ -634,7 +665,7 @@ def main(argv=None) -> int:
         ExcludedSpaceError,
         FrameFileError,
         MalformedMatrixError,
-        ValueError,
+        EpsilonTooLargeError,
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -11,14 +11,12 @@ over Haar-random rotations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm, helmert
 
 from .errors import (
     BNotInQError,
@@ -69,8 +67,10 @@ class ModelSpace:
         return m
 
     def flat_basis(self) -> list[np.ndarray]:
-        """Orthonormal basis of the diagonal traceless subspace."""
-        return [np.diag(row) for row in helmert(self.n)]
+        """Orthonormal basis of the diagonal traceless subspace (Helmert rows)."""
+        k = np.arange(1, self.n)
+        rows = np.tril(np.ones((self.n, self.n)), -1)[1:] - np.diag(np.arange(self.n))[1:]
+        return [np.diag(row) for row in rows / np.sqrt(k * (k + 1))[:, None]]
 
     def fperp_basis(self) -> list[np.ndarray]:
         return [self.b_matrix(i, j) for i, j in self.pairs]
@@ -193,6 +193,12 @@ def stabilizer_generators(model: ModelSpace, v: Sequence[Rat]) -> list[np.ndarra
     return [model.k_matrix(i, j) for i, j in model.pairs if fr[i] == fr[j]]
 
 
+def _exp_skew(a: np.ndarray) -> np.ndarray:
+    """exp of a real skew-symmetric matrix from the eigenbasis of Hermitian 1j*a."""
+    lam, vecs = np.linalg.eigh(1j * a)
+    return ((vecs * np.exp(-1j * lam)) @ vecs.conj().T).real
+
+
 def stabilizer_rotation(
     model: ModelSpace, v: Sequence[Rat], coefficients: Sequence[float]
 ) -> np.ndarray:
@@ -202,7 +208,7 @@ def stabilizer_rotation(
         raise InvalidParamsError("one coefficient per stabilizer generator")
     if not gens:
         return np.eye(model.n)
-    return expm(sum(c * g for c, g in zip(coefficients, gens)))
+    return _exp_skew(sum(c * g for c, g in zip(coefficients, gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +308,6 @@ def sample_ratio(
 # Wall snapping.
 
 
-@functools.lru_cache(maxsize=None)
-def _set_partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    out: list[tuple[tuple[int, ...], ...]] = []
-    blocks: list[list[int]] = []
-
-    def rec(i: int):
-        if i == n:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return tuple(out)
-
-
 def snap_to_singular(
     model: ModelSpace, w_hat: Sequence[float], eps0: float | None = None
 ) -> np.ndarray:
@@ -336,17 +321,29 @@ def snap_to_singular(
     """
     w = np.asarray([float(x) for x in w_hat], dtype=float)
     radius = model.epsilon_zero if eps0 is None else eps0
+    # The closest face of each vanishing count groups the sorted coordinates
+    # into intervals (Fisher 1958): per prefix of the sorted order and
+    # vanishing count, keep the least squared distance and its blocks.
+    order = np.argsort(w, kind="stable")
+    best = [{0: (0.0, ())}] + [{} for _ in w]
+    for end in range(1, len(w) + 1):
+        for start in range(end):
+            block = w[order[start:end]]
+            cost = float(((block - block.mean()) ** 2).sum())
+            pairs = (end - start) * (end - start - 1) // 2
+            for vanishing, (sq, blocks) in best[start].items():
+                if sq + cost < best[end].get(vanishing + pairs, (np.inf,))[0]:
+                    idx = np.sort(order[start:end])
+                    best[end][vanishing + pairs] = (sq + cost, blocks + (idx,))
     best_key = None
     best_proj = None
-    for part in _set_partitions(model.n):
+    for vanishing, (_sq, blocks) in best[-1].items():
         proj = w.copy()
-        for block in part:
-            idx = list(block)
+        for idx in blocks:
             proj[idx] = w[idx].mean()
         dist = float(np.linalg.norm(w - proj))
         if dist > radius:
             continue
-        vanishing = sum(len(b) * (len(b) - 1) // 2 for b in part)
         key = (-vanishing, dist)
         if best_key is None or key < best_key:
             best_key = key
@@ -524,7 +521,7 @@ def pipeline_perturbed(
         raise InvalidParamsError("u must have unit norm")
 
     flats = [np.asarray([float(x) for x in w], dtype=float) for w in frame]
-    h = expm(eps * u) if eps > 0 else np.eye(model.n)
+    h = _exp_skew(eps * u) if eps > 0 else np.eye(model.n)
     v_mats = [h @ np.diag(w) @ h.T for w in flats]
 
     snapped_exact: list[tuple[Fraction, ...]] = []

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import rootmatch
 from rootmatch.cli import main
 
 WALL_FRAME = '[["1","1","1","-3"],["-3","1","1","1"],["1","-1","1","-1"]]'
@@ -125,6 +132,33 @@ def test_match_no_matching(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["pairs"] is None
     assert payload["oracle_found"] is False
+    assert payload["oracle_agrees"] is True
+
+
+def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
+    # Selection matrix of the spanning SL(4,R) frame
+    # (-8,8,-8,8), (6,-6,-6,6), (-2,-2,2,2): greedy fails, the oracle finds
+    # a matching, and the report says so instead of hiding it.
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(
+        json.dumps({"entries": [[1, 0, 1, 1, 0, 1], [1, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0]]})
+    )
+    code, out, _err = run(capsys, "match", "--input", str(matrix), "--oracle")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pairs"] is None
+    assert payload["oracle_found"] is True
+    assert payload["oracle_agrees"] is False
+
+
+@pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None, 2, -1])
+def test_match_rejects_non_binary_entries(tmp_path, capsys, entry):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"entries": [[1, 1, 0, 0], [0, 0, 1, entry]]}))
+    code, out, err = run(capsys, "match", "--input", str(matrix))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_subcommand(capsys):
@@ -149,6 +183,32 @@ def test_verify_subcommand(capsys):
 def test_verify_bad_n(capsys):
     code, _out, err = run(capsys, "verify", "--n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "4", "--seeds", ","],
+        ["all", "--seeds", ","],
+        ["verify", "--n", "4", "--seeds", "-1"],
+        ["verify", "--n", "4", "--seeds", "1.5"],
+        ["verify", "--n", "4", "--epsilon", "0"],
+        ["verify", "--n", "4", "--epsilon", "nan"],
+        ["verify", "--n", "4", "--epsilon", "0.5"],
+        ["all", "--epsilon", "0.1"],
+        ["verify", "--n", "4", "--samples", "0"],
+        ["all", "--samples", "0"],
+        ["all", "--fuzz-count", "0"],
+        ["verify", "--n", "9"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_numeric_options_fail_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_verify_with_frame_file(tmp_path, capsys):
@@ -223,3 +283,14 @@ def test_all_quick_sweep(capsys):
         "eps_linear_scaling",
         "flat_pipeline",
     } <= names
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(rootmatch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, rootmatch, rootmatch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

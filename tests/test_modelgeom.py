@@ -1,8 +1,9 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, helmert
 
 from rootmatch.errors import (
     BNotInQError,
@@ -15,6 +16,7 @@ from rootmatch.errors import (
 from rootmatch.framematrix import random_frames
 from rootmatch.modelgeom import (
     ModelSpace,
+    _exp_skew,
     _rationalize_flat,
     angle_to_subspace,
     diagonal_exact,
@@ -261,6 +263,110 @@ def test_snap_on_wall_is_fixed():
     w = np.asarray([0.5, 0.5, -0.5, -0.5])
     snapped = snap_to_singular(MODEL4, w)
     assert np.array_equal(snapped, w)
+
+
+@functools.lru_cache(maxsize=None)
+def _set_partitions(n):
+    """Every set partition of range(n), each block ascending: Bell(n) of them."""
+    out = []
+    blocks = []
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        rec(i + 1)
+        blocks.pop()
+
+    rec(0)
+    return tuple(out)
+
+
+def _face(w, part):
+    """(vanishing count, distance, projection) of w onto the face of a partition."""
+    proj = w.copy()
+    for block in part:
+        idx = list(block)
+        proj[idx] = w[idx].mean()
+    vanishing = sum(len(b) * (len(b) - 1) // 2 for b in part)
+    return vanishing, float(np.linalg.norm(w - proj)), proj
+
+
+def _bell_snap(faces, radius):
+    """Reference snap by full enumeration: the first face minimizing
+    (-vanishing, distance) within the radius, and its normalized projection."""
+    best = None
+    for vanishing, dist, proj in faces:
+        if dist <= radius and (best is None or (-vanishing, dist) < best[0]):
+            best = ((-vanishing, dist), proj)
+    return best[0], best[1] / np.linalg.norm(best[1])
+
+
+def _unit_flat(raw):
+    w = np.asarray(raw, dtype=float)
+    w -= w.mean()
+    return w / np.linalg.norm(w)
+
+
+SNAP_VECTORS = {4: 40, 5: 40, 6: 30, 7: 15, 8: 6}
+
+
+@pytest.mark.parametrize("n", sorted(SNAP_VECTORS))
+def test_snap_matches_bell_enumeration(n):
+    model = ModelSpace(n)
+    rng = np.random.default_rng(100 + n)
+    for t in range(SNAP_VECTORS[n]):
+        if t % 2:
+            w = _unit_flat(rng.standard_normal(n))
+        else:
+            # a few clusters with small spread, so every radius finds walls
+            centers = rng.standard_normal(3)
+            w = _unit_flat(rng.choice(centers, n) + 0.03 * rng.standard_normal(n))
+        faces = [_face(w, part) for part in _set_partitions(n)]
+        for radius in (model.epsilon_zero, 0.2, 0.5):
+            _key, want = _bell_snap(faces, radius)
+            got = snap_to_singular(model, w, radius)
+            assert got.tobytes() == want.tobytes(), (n, t, radius)
+
+
+@pytest.mark.parametrize("n", sorted(SNAP_VECTORS))
+def test_snap_with_repeated_coordinates(n):
+    # Repeated coordinates make several faces tie; the enumeration order
+    # picks among them, so only the vanishing count and distance must agree.
+    model = ModelSpace(n)
+    rng = np.random.default_rng(200 + n)
+    for _ in range(SNAP_VECTORS[n]):
+        k = rng.integers(2, n)  # distinct values, each used at least once
+        slots = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+        w = _unit_flat(rng.standard_normal(k)[rng.permutation(slots)])
+        faces = [_face(w, part) for part in _set_partitions(n)]
+        for radius in (model.epsilon_zero, 0.2, 0.5):
+            (neg_vanishing, want_dist), _want = _bell_snap(faces, radius)
+            got = snap_to_singular(model, w, radius)
+            part = tuple(tuple(np.flatnonzero(got == x)) for x in dict.fromkeys(got))
+            vanishing, dist, _proj = _face(w, part)
+            assert vanishing == -neg_vanishing
+            assert abs(dist - want_dist) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_exp_skew_matches_expm(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        s = rng.standard_normal((n, n))
+        a = s - s.T
+        assert np.abs(_exp_skew(a) - expm(a)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_flat_basis_is_helmert(n):
+    rows = np.stack([np.diag(b) for b in ModelSpace(n).flat_basis()])
+    assert rows.tobytes() == helmert(n).tobytes()
 
 
 def test_pipeline_flat_regular():
