@@ -20,7 +20,7 @@ def dot(x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
     return sum(a * b for a, b in zip(x, y))
 
 
-def _integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
+def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank is unchanged)."""
     out = []
     for row in rows:
@@ -40,7 +40,7 @@ def exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
     minor of the (row-scaled) input, so the division below is exact and
     entries stay polynomially bounded.
     """
-    work = _integer_rows(rows)
+    work = integer_rows(rows)
     if not work:
         return 0
     ncols = len(work[0])

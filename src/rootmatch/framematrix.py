@@ -3,16 +3,18 @@
 Row i of the matrix corresponds to the i-th frame vector, and there is
 one column per multiplicity slot of each positive root, in a fixed
 deterministic order.  An entry is 1 exactly when the root does not
-vanish on the frame vector, decided in exact arithmetic.
+vanish on the frame vector, decided in exact arithmetic.  Each row is
+held as one int bitmask, column j being bit j.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -22,10 +24,12 @@ from .errors import (
     ExcludedSpaceError,
     FrameFileError,
     InvalidParamsError,
+    MalformedMatrixError,
     NotInFlatError,
+    RootmatchError,
     ZeroVectorError,
 )
-from .exact import Rat, exact_rank
+from .exact import Rat, exact_rank, integer_rows
 from .rootdata import (
     KTYPE_SO,
     Root,
@@ -68,71 +72,120 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
     return FrameSpec(vectors=vecs, space=space, spanning=spanning)
 
 
+class _Entries:
+    """``SelectionMatrix.entries``: the rows as 0/1 tuples, derived from
+    ``masks`` on first read and kept.  As an init-only argument (default
+    None) 0/1 rows replace ``masks``, so that
+    ``dataclasses.replace(matrix, entries=rows)`` gives a matrix with
+    those rows.
+    """
+
+    def __get__(self, matrix, owner=None):
+        if matrix is None:
+            return None
+        rows = tuple(
+            tuple(int(b) for b in format(mask, f"0{matrix.cols}b")[::-1])
+            for mask in matrix.masks
+        )
+        matrix.__dict__["entries"] = rows
+        return rows
+
+
+def masks_from_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
+    """Validate rows of 0/1 entries; return their column bitmasks and width."""
+    rows = [tuple(row) for row in rows]
+    if not rows:
+        raise MalformedMatrixError("matrix has no rows")
+    width = len(rows[0])
+    if width == 0:
+        raise MalformedMatrixError("matrix has no columns")
+    masks = []
+    for row in rows:
+        if len(row) != width:
+            raise MalformedMatrixError("ragged matrix")
+        if any(x not in (0, 1) for x in row):
+            raise MalformedMatrixError("entries must be 0 or 1")
+        masks.append(sum(1 << j for j, x in enumerate(row) if x))
+    return tuple(masks), width
+
+
 @dataclass(frozen=True)
 class SelectionMatrix:
-    """0/1 incidence of frame vectors against root multiplicity slots."""
+    """0/1 incidence of frame vectors against root multiplicity slots.
+
+    Row i is the int ``masks[i]``: bit j is set when the entry in column
+    j is 1.  ``build_matrix`` output is trusted as built; hand-made
+    matrices go through the validating ``from_entries``.
+    """
 
     space: SpaceDescriptor
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
     col_labels: tuple[tuple[Root, int], ...]
     row_labels: tuple[int, ...]
+    entries: InitVar[Optional[Sequence[Sequence[int]]]] = _Entries()
+
+    def __post_init__(self, entries):
+        if entries is not None:
+            masks, width = masks_from_rows(entries)
+            if len(masks) != self.rows or width != self.cols:
+                raise MalformedMatrixError("entries do not match the rows and cols fields")
+            object.__setattr__(self, "masks", masks)
+
+    @classmethod
+    def from_entries(
+        cls,
+        space: SpaceDescriptor,
+        entries: Sequence[Sequence[int]],
+        col_labels: Sequence[tuple[Root, int]],
+    ) -> SelectionMatrix:
+        """A hand-made matrix from rectangular 0/1 rows, one label per column."""
+        masks, width = masks_from_rows(entries)
+        if len(col_labels) != width:
+            raise MalformedMatrixError(f"{len(col_labels)} column labels for {width} columns")
+        return cls(
+            space=space,
+            rows=len(masks),
+            cols=width,
+            masks=masks,
+            col_labels=tuple(col_labels),
+            row_labels=tuple(range(len(masks))),
+        )
 
     @property
     def row_weights(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-
-@functools.lru_cache(maxsize=None)
-def _root_arrays(rootsys: RootSystem):
-    coords = np.array([r.coords for r in rootsys.positives], dtype=np.int64)
-    mults = np.array([r.multiplicity for r in rootsys.positives], dtype=np.int64)
-    return coords, mults
-
-
-@functools.lru_cache(maxsize=None)
-def column_labels(rootsys: RootSystem) -> tuple[tuple[Root, int], ...]:
-    labels = []
-    for root in rootsys.positives:
-        for slot in range(1, root.multiplicity + 1):
-            labels.append((root, slot))
-    return tuple(labels)
+        return tuple(mask.bit_count() for mask in self.masks)
 
 
 def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     """Build the selection matrix of a frame.
 
-    Integer frames go through a vectorized integer product; rational
-    frames fall back to per-root exact evaluation.  Both are exact.
+    Each frame vector is first scaled to an integer vector on the same
+    ray, which keeps every root's zero pattern.  Entries below 2**60 go
+    through one int64 product with the root coordinates; larger ones
+    fall back to exact per-root evaluation.  A row is the sum of the
+    column masks of the roots that do not vanish on it (the masks are
+    disjoint, so the sum is their union).
     """
     space = frame.space
     rootsys = space.rootsys
-    coords, mults = _root_arrays(rootsys)
-    all_int = all(all(type(x) is int for x in v) for v in frame.vectors)
-    # products of a root (entries <= 2) against a frame row must stay
-    # inside int64 for the vectorized path to be exact
-    small = all_int and max(abs(x) for v in frame.vectors for x in v) < 2**60
-    if small:
-        fmat = np.array(frame.vectors, dtype=np.int64)
-        hits = (fmat @ coords.T) != 0
+    vectors = integer_rows(frame.vectors)
+    root_masks = rootsys.column_masks
+    labels = rootsys.column_labels
+    # products of a root (entries <= 2, two terms) with a vector must
+    # stay inside int64 for the vectorized path to be exact
+    if max(abs(x) for v in vectors for x in v) < 2**60:
+        values = (np.array(vectors, dtype=np.int64) @ rootsys.coords_t).tolist()
     else:
-        hits = np.array(
-            [
-                [evaluate_root(root, v) != 0 for root in rootsys.positives]
-                for v in frame.vectors
-            ],
-            dtype=bool,
-        )
-    expanded = np.repeat(hits.astype(np.int8), mults, axis=1)
-    entries = tuple(tuple(int(x) for x in row) for row in expanded)
+        values = [[evaluate_root(root, v) for root in rootsys.positives] for v in vectors]
     return SelectionMatrix(
         space=space,
-        rows=len(frame.vectors),
-        cols=int(mults.sum()),
-        entries=entries,
-        col_labels=column_labels(rootsys),
-        row_labels=tuple(range(len(frame.vectors))),
+        rows=len(vectors),
+        cols=len(labels),
+        masks=tuple(sum(compress(root_masks, row)) for row in values),
+        col_labels=labels,
+        row_labels=tuple(range(len(vectors))),
     )
 
 
@@ -161,13 +214,16 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
     if space.excluded:
         raise ExcludedSpaceError(f"{space.name} is excluded from property checks")
     n = space.rank
-    entries = matrix.entries
-    weights = matrix.row_weights
+    masks = matrix.masks
+    weights = [mask.bit_count() for mask in masks]
     witnesses: list[str] = []
 
-    empty_cols = [j for j in range(matrix.cols) if not any(row[j] for row in entries)]
-    ok1 = not empty_cols
+    union = 0
+    for mask in masks:
+        union |= mask
+    ok1 = union == (1 << matrix.cols) - 1
     if not ok1:
+        empty_cols = [j for j in range(matrix.cols) if not union >> j & 1]
         witnesses.append(f"property 1: all-zero columns {empty_cols}")
 
     light = [i for i, w in enumerate(weights) if w < n]
@@ -175,9 +231,9 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
     if not ok2:
         witnesses.append(f"property 2: rows {light} have weight below {n}")
 
+    low = [i for i, w in enumerate(weights) if w < 2 * n - 2]
     ok3 = True
     if space.ktype != KTYPE_SO:
-        low = [i for i, w in enumerate(weights) if w < 2 * n - 2]
         ok3 = not low
         if not ok3:
             witnesses.append(f"property 3: rows {low} have weight below {2 * n - 2}")
@@ -186,7 +242,7 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
     equal_pairs = []
     for i in range(matrix.rows):
         for j in range(i + 1, matrix.rows):
-            if entries[i] == entries[j]:
+            if masks[i] == masks[j]:
                 equal_pairs.append((i, j))
                 if weights[i] < 2 * n - 1:
                     ok4 = False
@@ -195,13 +251,9 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
                     )
 
     ok5 = True
-    for i in range(matrix.rows):
-        if weights[i] >= 2 * n - 2:
-            continue
-        for j in range(i + 1, matrix.rows):
-            if weights[j] >= 2 * n - 2:
-                continue
-            shared = sum(a & b for a, b in zip(entries[i], entries[j]))
+    for a, i in enumerate(low):
+        for j in low[a + 1 :]:
+            shared = (masks[i] & masks[j]).bit_count()
             if shared > 1:
                 ok5 = False
                 witnesses.append(
@@ -233,11 +285,9 @@ def _detrace(v: list[int], dim: int) -> list[int]:
     return [dim * x - s for x in v]
 
 
-def _random_vector(space: SpaceDescriptor, rng: np.random.Generator) -> list[int]:
-    dim = space.coord_dim
-    family = space.rootsys.family
+def _random_vector(dim: int, family: str, rng: np.random.Generator) -> list[int]:
     while True:
-        v = [int(x) for x in rng.integers(-9, 10, size=dim)]
+        v = rng.integers(-9, 10, size=dim).tolist()
         if rng.random() < 0.3 and dim >= 2:
             # Deliberately collide coordinates to land on or near walls.
             i, j = rng.choice(dim, size=2, replace=False)
@@ -254,15 +304,15 @@ def _random_vector(space: SpaceDescriptor, rng: np.random.Generator) -> list[int
             return v
 
 
-def _random_face_vector(space: SpaceDescriptor, rng: np.random.Generator) -> list[int]:
-    rank = space.rank
-    coweights = _integer_coweights(space.rootsys)
+def _random_face_vector(
+    rank: int, dim: int, coweights: Sequence[Sequence[int]], rng: np.random.Generator
+) -> list[int]:
     while True:
         smask = int(rng.integers(1, 1 << rank))  # nonempty, proper after filter
         outside = [i for i in range(rank) if not smask >> i & 1]
         if not outside:
             continue
-        v = [0] * space.coord_dim
+        v = [0] * dim
         for i in outside:
             c = int(rng.integers(1, 5))
             for k, x in enumerate(coweights[i]):
@@ -283,13 +333,16 @@ def random_frames(
     rng = np.random.default_rng(seed)
     frames = []
     k = space.rank
+    dim = space.coord_dim
+    family = space.rootsys.family
+    coweights = _integer_coweights(space.rootsys)
     for _ in range(count):
         for _attempt in range(max_attempts):
             n_singular = 0
             if rng.random() < singular_fraction:
                 n_singular = int(rng.integers(1, k + 1))
-            vectors = [_random_face_vector(space, rng) for _ in range(n_singular)]
-            vectors += [_random_vector(space, rng) for _ in range(k - n_singular)]
+            vectors = [_random_face_vector(k, dim, coweights, rng) for _ in range(n_singular)]
+            vectors += [_random_vector(dim, family, rng) for _ in range(k - n_singular)]
             if exact_rank(vectors) == k:
                 frames.append(
                     FrameSpec(
@@ -332,4 +385,8 @@ def load_frame(path: str, space: SpaceDescriptor) -> FrameSpec:
             text = fh.read()
     except OSError as exc:
         raise FrameFileError(f"cannot read frame file {path!r}: {exc}") from exc
-    return make_frame(space, parse_frame_vectors(text))
+    vectors = parse_frame_vectors(text)
+    try:
+        return make_frame(space, vectors)
+    except RootmatchError as exc:  # make_frame raises only validation errors
+        raise FrameFileError(f"bad frame in {path!r}: {exc}") from exc

@@ -14,26 +14,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import MalformedMatrixError, NoMatchingError
-from .framematrix import SelectionMatrix
+from .errors import NoMatchingError
+from .framematrix import SelectionMatrix, masks_from_rows
 
 MatrixLike = Union[SelectionMatrix, Sequence[Sequence[int]]]
 
 
-def _rows_of(matrix: MatrixLike) -> list[tuple[int, ...]]:
-    entries = matrix.entries if isinstance(matrix, SelectionMatrix) else matrix
-    rows = [tuple(row) for row in entries]
-    if not rows:
-        raise MalformedMatrixError("matrix has no rows")
-    width = len(rows[0])
-    if width == 0:
-        raise MalformedMatrixError("matrix has no columns")
-    for row in rows:
-        if len(row) != width:
-            raise MalformedMatrixError("ragged matrix")
-        if any(x not in (0, 1) for x in row):
-            raise MalformedMatrixError("entries must be 0 or 1")
-    return rows
+def _rows_of(matrix: MatrixLike) -> tuple[tuple[int, ...], int]:
+    """Row bitmasks and column count; raw 0/1 rows are validated first."""
+    if isinstance(matrix, SelectionMatrix):
+        return matrix.masks, matrix.cols
+    return masks_from_rows(matrix)
+
+
+def _low_bits(mask: int, count: int) -> list[int]:
+    """Indices of the lowest ``count`` set bits of ``mask``, ascending."""
+    out = []
+    while mask and len(out) < count:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,11 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     the structural properties the run is best effort and may raise
     ``NoMatchingError``; it never loops.
     """
-    rows = _rows_of(matrix)
+    rows, m = _rows_of(matrix)
     n = len(rows)
-    m = len(rows[0])
-    weights = [sum(r) for r in rows]
-    surviving = [True] * m
-    removed_ever = [False] * m
+    weights = [row.bit_count() for row in rows]
+    surviving = (1 << m) - 1  # columns no row holds right now
+    removed_ever = 0  # columns some row has held
     assigned: dict[int, list[int]] = {}
     processed: list[int] = []
     stages: list[StageRecord] = []
@@ -99,9 +99,6 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
         2: [i for i in range(n) if weights[i] != n],
     }
 
-    def live_columns(i: int) -> list[int]:
-        return [c for c in range(m) if rows[i][c] and surviving[c]]
-
     def fail(stage: int):
         trace = AlgoTrace(stages=tuple(stages), repairs=tuple(repairs))
         raise NoMatchingError(f"greedy selection failed at stage {stage}", trace=trace)
@@ -110,6 +107,7 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
         # Revise the first phase-1 choice: hand the failing row back the
         # column it shared with that row, and let the donor take one of
         # its entries no other row uses.
+        nonlocal surviving, removed_ever
         if repair_used[1]:
             return False
         phase1_done = [i for i in processed if weights[i] == n]
@@ -117,27 +115,23 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
             return False
         donor = phase1_done[0]
         pair = assigned[donor]
-        overlap = [c for c in pair if rows[failing][c]]
+        overlap = [c for c in pair if rows[failing] >> c & 1]
         if not overlap:
             return False
         restored = overlap[0]
-        taken = None
-        for c in range(m):
-            if (
-                rows[donor][c]
-                and c not in pair
-                and surviving[c]
-                and all(not rows[i][c] for i in range(n) if i != donor)
-            ):
-                taken = c
-                break
-        if taken is None:
+        others = 0
+        for i in range(n):
+            if i != donor:
+                others |= rows[i]
+        private = rows[donor] & surviving & ~others & ~sum(1 << c for c in pair)
+        if not private:
             return False
+        taken = _low_bits(private, 1)[0]
         pair.remove(restored)
         pair.append(taken)
-        surviving[restored] = True
-        surviving[taken] = False
-        removed_ever[taken] = True
+        surviving |= 1 << restored
+        surviving &= ~(1 << taken)
+        removed_ever |= 1 << taken
         repairs.append(
             RepairRecord("last_row_swap", stage, failing, donor, restored, taken)
         )
@@ -151,20 +145,20 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
         # column of each donor pair.  Two such columns exist in the
         # analyzed failure mode; a single one still rescues a failing row
         # that kept one live entry.
+        nonlocal surviving, removed_ever
         if repair_used[2]:
             return False
-        fresh = [
-            c
-            for c in range(m)
-            if not removed_ever[c] and any(rows[i][c] for i in processed)
-        ]
+        held = 0
+        for i in processed:
+            held |= rows[i]
+        fresh = _low_bits(held & ~removed_ever, 2)
         if not fresh:
             return False
         plan = []
         pair_copies = {i: list(assigned[i]) for i in processed}
         newly_taken: set[int] = set()
-        for c in fresh[:2]:
-            donor = next(i for i in processed if rows[i][c])
+        for c in fresh:
+            donor = next(i for i in processed if rows[i] >> c & 1)
             options = [x for x in pair_copies[donor] if x not in newly_taken]
             if not options:
                 return False
@@ -176,9 +170,9 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
         for donor, put_back, c in plan:
             assigned[donor].remove(put_back)
             assigned[donor].append(c)
-            surviving[put_back] = True
-            surviving[c] = False
-            removed_ever[c] = True
+            surviving |= 1 << put_back
+            surviving &= ~(1 << c)
+            removed_ever |= 1 << c
             repairs.append(
                 RepairRecord("put_back", stage, failing, donor, put_back, c)
             )
@@ -190,18 +184,18 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     while pending[1] or pending[2]:
         if phase == 1 and not pending[1]:
             phase = 2
-        pool = pending[phase]
-        counts = {i: len(live_columns(i)) for i in pool}
-        order = sorted(pool, key=lambda i: (counts[i], i))
+        pool = pending[phase]  # ascending row indices, so the sort below is by (count, row)
+        counts = {i: (rows[i] & surviving).bit_count() for i in pool}
+        order = sorted(pool, key=counts.__getitem__)
         top = order[0]
-        candidates = live_columns(top)
+        candidates = _low_bits(rows[top] & surviving, 2)
         if len(candidates) < 2:
             if phase == 1:
                 repaired = repair_last_row_swap(top, t)
             else:
                 repaired = repair_put_back(top, t)
             if repaired:
-                candidates = live_columns(top)
+                candidates = _low_bits(rows[top] & surviving, 2)
             if len(candidates) < 2:
                 fail(t)
         chosen = (candidates[0], candidates[1])
@@ -211,14 +205,14 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
                 phase=phase,
                 order=tuple(order),
                 top_row=top,
-                counts=tuple(sorted(counts.items())),
+                counts=tuple(counts.items()),
                 chosen=chosen,
             )
         )
         assigned[top] = list(chosen)
-        for c in chosen:
-            surviving[c] = False
-            removed_ever[c] = True
+        chosen_mask = (1 << chosen[0]) | (1 << chosen[1])
+        surviving &= ~chosen_mask
+        removed_ever |= chosen_mask
         pool.remove(top)
         processed.append(top)
         t += 1
@@ -229,33 +223,45 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
 
 
 def oracle_match(matrix: MatrixLike) -> MatchResult | None:
-    """Exact existence check via augmenting paths on doubled row nodes."""
-    rows = _rows_of(matrix)
-    n, m = len(rows), len(rows[0])
-    adj = [[c for c in range(m) if rows[i][c]] for i in range(n)]
-    match_col: dict[int, tuple[int, int]] = {}
+    """Exact existence check via augmenting paths on doubled row nodes.
 
-    def augment(node: tuple[int, int], visited: set[int]) -> bool:
-        for c in adj[node[0]]:
-            if c in visited:
-                continue
-            visited.add(c)
-            holder = match_col.get(c)
-            if holder is None or augment(holder, visited):
+    Each search tries a row's columns in ascending order and visits a
+    column at most once; ``visited`` is the bitmask of the columns the
+    current search has visited.
+    """
+    rows, m = _rows_of(matrix)
+    n = len(rows)
+    match_col: list[tuple[int, int] | None] = [None] * m
+    visited = 0
+
+    def augment(node: tuple[int, int]) -> bool:
+        nonlocal visited
+        row = rows[node[0]]
+        todo = row & ~visited
+        while todo:
+            low = todo & -todo
+            c = low.bit_length() - 1
+            visited |= low
+            holder = match_col[c]
+            # a holder with no unvisited column left cannot move
+            if holder is None or (rows[holder[0]] & ~visited and augment(holder)):
                 match_col[c] = node
                 return True
+            todo = row & ~visited & -(low << 1)  # unvisited columns above c
         return False
 
     matched = 0
     for i in range(n):
         for copy in (0, 1):
-            if augment((i, copy), set()):
+            visited = 0
+            if augment((i, copy)):
                 matched += 1
     if matched < 2 * n:
         return None
     cols_by_row: dict[int, list[int]] = {i: [] for i in range(n)}
-    for c, (i, _copy) in match_col.items():
-        cols_by_row[i].append(c)
+    for c, holder in enumerate(match_col):
+        if holder is not None:
+            cols_by_row[holder[0]].append(c)
     pairs = tuple(
         (min(cols_by_row[i]), max(cols_by_row[i])) for i in range(n)
     )
@@ -264,15 +270,15 @@ def oracle_match(matrix: MatrixLike) -> MatchResult | None:
 
 def validate(matrix: MatrixLike, result: MatchResult) -> bool:
     """True iff the pairs hit 1-entries, are distinct per row, 2n overall."""
-    rows = _rows_of(matrix)
+    rows, m = _rows_of(matrix)
     if len(result.pairs) != len(rows):
         return False
-    seen: set[int] = set()
-    for i, (j, k) in enumerate(result.pairs):
+    seen = 0
+    for row, (j, k) in zip(rows, result.pairs):
         if j == k:
             return False
         for c in (j, k):
-            if not 0 <= c < len(rows[0]) or rows[i][c] != 1:
+            if not 0 <= c < m or not row >> c & 1:
                 return False
-            seen.add(c)
-    return len(seen) == 2 * len(rows)
+            seen |= 1 << c
+    return seen.bit_count() == 2 * len(rows)

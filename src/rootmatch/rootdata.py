@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -66,6 +68,32 @@ class RootSystem:
     @property
     def total_multiplicity(self) -> int:
         return sum(r.multiplicity for r in self.positives)
+
+    # Selection-matrix layout, computed on first use and kept on the
+    # instance: one column per multiplicity slot, roots in order.
+
+    @functools.cached_property
+    def column_labels(self) -> tuple[tuple[Root, int], ...]:
+        return tuple(
+            (root, slot) for root in self.positives for slot in range(1, root.multiplicity + 1)
+        )
+
+    @functools.cached_property
+    def column_masks(self) -> tuple[int, ...]:
+        """Per positive root, the bitmask of its columns."""
+        masks = []
+        start = 0
+        for root in self.positives:
+            masks.append(((1 << root.multiplicity) - 1) << start)
+            start += root.multiplicity
+        return tuple(masks)
+
+    @functools.cached_property
+    def coords_t(self) -> np.ndarray:
+        """Root coordinates as int64 columns: ``vectors @ coords_t`` evaluates every root."""
+        coords_t = np.array([r.coords for r in self.positives], dtype=np.int64).T.copy()
+        coords_t.flags.writeable = False
+        return coords_t
 
 
 def _unit(dim: int, i: int, value: int = 1) -> list[int]:

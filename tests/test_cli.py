@@ -94,6 +94,29 @@ def test_matrix_bad_frame_file(tmp_path, capsys):
     assert "frame" in err
 
 
+BAD_FRAMES = {
+    "wrong_length": '[["1","-1","0"]]',
+    "nonzero_sum": '[["1","1","1","1"]]',
+    "zero_vector": '[["0","0","0","0"]]',
+    "too_many_vectors": '[["1","-1","0","0"],["0","1","-1","0"],["0","0","1","-1"],["1","0","0","-1"]]',
+    "no_vectors": "[]",
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["matrix", "--space", "SL(4,R)"], ["verify", "--n", "4"]], ids=["matrix", "verify"]
+)
+@pytest.mark.parametrize("kind", sorted(BAD_FRAMES))
+def test_malformed_frame_file_is_config_error(tmp_path, capsys, command, kind):
+    frame = tmp_path / "frame.json"
+    frame.write_text(BAD_FRAMES[kind])
+    code, out, err = run(capsys, *command, "--frame", str(frame))
+    assert code == 2
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_match_subcommand(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,13 @@ from rootmatch.errors import (
     ExcludedSpaceError,
     FrameFileError,
     InvalidParamsError,
+    MalformedMatrixError,
     NotInFlatError,
     ZeroVectorError,
 )
 from rootmatch.framematrix import (
     SelectionMatrix,
     build_matrix,
-    column_labels,
     load_frame,
     make_frame,
     parse_frame_vectors,
@@ -32,7 +34,7 @@ def _sl4_matrix(vectors):
 
 
 def test_column_order_is_pair_lexicographic():
-    labels = [root.support for root, _slot in column_labels(SL4.rootsys)]
+    labels = [root.support for root, _slot in SL4.rootsys.column_labels]
     assert labels == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
@@ -80,6 +82,50 @@ def test_rational_and_integer_paths_agree():
     assert _sl4_matrix(ints).entries == _sl4_matrix(fracs).entries
 
 
+def test_large_entries_take_the_exact_path():
+    # entries of 2**60 and more skip the int64 product; the zero pattern
+    # is that of the small vectors on the same rays
+    ints = [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)]
+    big = [tuple(x * 2**70 for x in v) for v in ints]
+    # scaled to integers, these become x * (3**45 + 1), above 2**71
+    fracs = [tuple(Fraction(x * (3**45 + 1), 3**45) for x in v) for v in ints]
+    assert _sl4_matrix(big).masks == _sl4_matrix(ints).masks
+    assert _sl4_matrix(fracs).masks == _sl4_matrix(ints).masks
+
+
+def test_masks_and_entries_agree():
+    m = _sl4_matrix([(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    # column j is bit j
+    assert m.masks == (0b110100, 0b000111, 0b101101)
+    assert m.entries == tuple(
+        tuple(mask >> j & 1 for j in range(m.cols)) for mask in m.masks
+    )
+    assert SelectionMatrix.from_entries(SL4, m.entries, m.col_labels) == m
+
+
+def test_from_entries_validates():
+    labels = SL4.rootsys.column_labels
+    with pytest.raises(MalformedMatrixError):
+        SelectionMatrix.from_entries(SL4, [], labels[:0])
+    with pytest.raises(MalformedMatrixError):
+        SelectionMatrix.from_entries(SL4, [[1, 0], [1]], labels[:2])
+    with pytest.raises(MalformedMatrixError):
+        SelectionMatrix.from_entries(SL4, [[1, 2]], labels[:2])
+    with pytest.raises(MalformedMatrixError):
+        SelectionMatrix.from_entries(SL4, [[1, 0, 1]], labels[:2])
+
+
+def test_replace_entries_rebuilds_masks():
+    m = _sl4_matrix([(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    rows = [list(r) for r in m.entries]
+    rows[1][2] ^= 1
+    planted = dataclasses.replace(m, entries=rows)
+    assert planted.masks == (m.masks[0], m.masks[1] ^ 0b100, m.masks[2])
+    assert planted.entries == tuple(tuple(r) for r in rows)
+    with pytest.raises(MalformedMatrixError):
+        dataclasses.replace(m, entries=rows[:2])
+
+
 def test_entries_match_per_root_evaluation():
     # independent oracle: rebuild every entry by direct root evaluation
     from rootmatch.rootdata import evaluate_root
@@ -100,6 +146,21 @@ def test_random_frames_deterministic():
     assert [f.vectors for f in a] == [f.vectors for f in b]
     c = random_frames(SL4, 25, seed=14)
     assert [f.vectors for f in a] != [f.vectors for f in c]
+
+
+def test_random_frames_pinned():
+    # The draw stream is fixed: same rng calls in the same order.  These
+    # digests of repr([f.vectors ...]) were taken before the sampler's
+    # per-call lookups were hoisted out of its per-vector helpers.
+    pinned = {
+        "SL(4,R)": "65232ab3473aed20",
+        "Sp(6,R)": "1a40b829b255a9a2",
+        "SO(5,7)": "06a062def9182622",
+        "SU(6,6)": "f0adcb4e4a32ad17",
+    }
+    for name, want in pinned.items():
+        vectors = [f.vectors for f in random_frames(space(name), 200, seed=1)]
+        assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:16] == want, name
 
 
 def test_row_weight_equals_stabilizer_codim():
@@ -124,13 +185,8 @@ def test_properties_all_ones():
 
 
 def test_property_one_fails_on_zero_column():
-    broken = SelectionMatrix(
-        space=SL4,
-        rows=2,
-        cols=3,
-        entries=((1, 1, 0), (1, 1, 0)),
-        col_labels=column_labels(SL4.rootsys)[:3],
-        row_labels=(0, 1),
+    broken = SelectionMatrix.from_entries(
+        SL4, ((1, 1, 0), (1, 1, 0)), SL4.rootsys.column_labels[:3]
     )
     report = verify_properties(broken, SL4)
     assert not report.verdicts[0]
@@ -236,3 +292,8 @@ def test_load_frame(tmp_path):
     assert frame.spanning
     with pytest.raises(FrameFileError):
         load_frame(str(tmp_path / "missing.json"), SL4)
+    # make_frame's validation errors surface as frame-file errors
+    for text in ('[["1","-1","0"]]', '[["1","1","1","1"]]', '[["0","0","0","0"]]'):
+        path.write_text(text)
+        with pytest.raises(FrameFileError):
+            load_frame(str(path), SL4)
