@@ -11,9 +11,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExcludedSpaceError, ZeroVectorError
-from .exact import Rat, primitive_integer, solve_unique
+from .exact import Rat, dot, primitive_integer, solve_unique_many
 from .rootdata import (
     KTYPE_SO,
     KTYPE_SO_PAIR,
@@ -48,40 +49,16 @@ def fundamental_coweights(rootsys: RootSystem) -> tuple[tuple[Fraction, ...], ..
     """Exact dual basis to the simple roots inside the flat.
 
     For the A family the flat is the trace-zero hyperplane, so the
-    defining system carries the extra trace equation.
+    defining system carries the extra trace equation.  One elimination
+    solves for every coweight.
     """
     simples = simple_system(rootsys)
     dim = rootsys.coord_dim
     rows = [list(s.coords) for s in simples]
     if rootsys.family == "A":
         rows.append([1] * dim)
-    coweights = []
-    for i in range(len(simples)):
-        rhs = [0] * len(rows)
-        rhs[i] = 1
-        coweights.append(solve_unique(rows, rhs))
-    return tuple(coweights)
-
-
-@functools.lru_cache(maxsize=None)
-def _simple_support_masks(rootsys: RootSystem) -> tuple[int, ...]:
-    """Bitmask of simple-root coefficients for each positive root.
-
-    A positive root lies in span(S) exactly when its support mask is
-    contained in the mask of S.
-    """
-    simples = simple_system(rootsys)
-    columns = [list(s.coords) for s in simples]
-    rows = [[columns[j][i] for j in range(len(simples))] for i in range(rootsys.coord_dim)]
-    masks = []
-    for root in rootsys.positives:
-        coeffs = solve_unique(rows, list(root.coords))
-        mask = 0
-        for j, c in enumerate(coeffs):
-            if c:
-                mask |= 1 << j
-        masks.append(mask)
-    return tuple(masks)
+    rhss = [[int(i == j) for j in range(len(rows))] for i in range(len(simples))]
+    return solve_unique_many(rows, rhss)
 
 
 @dataclass(frozen=True)
@@ -105,8 +82,18 @@ def enumerate_faces(space: SpaceDescriptor) -> list[FaceClass]:
     face (its witness is the zero vector).
     """
     rootsys = space.rootsys
-    masks = _simple_support_masks(rootsys)
     coweights = fundamental_coweights(rootsys)
+    # the coweights on one common denominator: integer vectors on the
+    # same rays, so sums of them keep the rays of the rational sums
+    scale = lcm(*(x.denominator for w in coweights for x in w))
+    scaled = [[int(x * scale) for x in w] for w in coweights]
+    # the coefficient of simple root j in a root is its pairing with
+    # coweight j; a root lies in span(S) exactly when its support mask
+    # is contained in the mask of S
+    masks = [
+        sum(1 << j for j, w in enumerate(scaled) if dot(root.coords, w))
+        for root in rootsys.positives
+    ]
     total = rootsys.total_multiplicity
     rank = rootsys.rank
     faces = []
@@ -118,11 +105,10 @@ def enumerate_faces(space: SpaceDescriptor) -> list[FaceClass]:
             if rmask & ~smask == 0
         )
         codim = total - sum(r.multiplicity for r in vanishing)
-        acc = [Fraction(0)] * rootsys.coord_dim
+        acc = [0] * rootsys.coord_dim
         for i in range(rank):
-            if i not in subset:
-                for k, x in enumerate(coweights[i]):
-                    acc[k] += x
+            if not smask >> i & 1:
+                acc = [a + x for a, x in zip(acc, scaled[i])]
         faces.append(
             FaceClass(
                 simple_subset=subset,

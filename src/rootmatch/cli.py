@@ -323,7 +323,13 @@ def cmd_verify(args) -> tuple[int, str]:
     _check_epsilons(epsilons, model)
     space = lookup_space(f"SL({args.n},R)")
     if args.frame:
-        frame = load_frame(args.frame, space).vectors
+        loaded = load_frame(args.frame, space)
+        if len(loaded.vectors) != space.rank or not loaded.spanning:
+            raise FrameFileError(
+                f"frame in {args.frame!r} does not span the flat: "
+                f"verify needs {space.rank} independent vectors"
+            )
+        frame = loaded.vectors
     else:
         frame = random_frames(space, 1, seed=seeds[0], singular_fraction=1.0)[0].vectors
 

@@ -70,11 +70,21 @@ def solve_unique(
     Accepts more equations than unknowns; raises ``ValueError`` when the
     system is inconsistent or underdetermined.
     """
+    return solve_unique_many(rows, [rhs])[0]
+
+
+def solve_unique_many(
+    rows: Sequence[Sequence[Rat]], rhss: Sequence[Sequence[Rat]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """``solve_unique`` for several right-hand sides, in one elimination."""
     m = len(rows)
-    if m != len(rhs):
+    if any(len(rhs) != m for rhs in rhss):
         raise ValueError("system shape mismatch")
     n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(rhs[i]) for rhs in rhss]
+        for i, row in enumerate(rows)
+    ]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -91,25 +101,24 @@ def solve_unique(
         pivots.append(c)
         r += 1
     for i in range(r, m):
-        if aug[i][n]:
+        if any(aug[i][n:]):
             raise ValueError("inconsistent system")
     if len(pivots) != n:
         raise ValueError("underdetermined system")
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][n]
-    return tuple(sol)
+    solutions = []
+    for k in range(n, n + len(rhss)):
+        sol = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            sol[c] = aug[i][k]
+        solutions.append(tuple(sol))
+    return tuple(solutions)
 
 
 def primitive_integer(vec: Sequence[Rat]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
+    ints = integer_rows([vec])[0]
     g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in ints) if g else tuple(ints)
 
 
 def in_span(vec: Sequence[Rat], basis: Sequence[Sequence[Rat]]) -> bool:

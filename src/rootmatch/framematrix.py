@@ -270,6 +270,82 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
 
 # ---------------------------------------------------------------------------
 # Random spanning frames for fuzzing.
+#
+# The draws are exactly those of ``np.random.default_rng(seed)``, read
+# from the raw words of its bit generator (PCG64, O'Neill 2014): one
+# Python int operation per draw instead of one numpy call.
+
+_WORDS = 1024  # raw PCG64 words read per block
+_CHUNK = 128  # most attempts drawn and tested for spanning together
+_P = 2**31 - 1  # prime modulus of the batched spanning test
+# entries mod p are below 2**31, so lead * a - f * b stays exact in int64
+assert 2 * (_P - 1) ** 2 < 2**63
+
+
+class _Draws:
+    """The ``Generator`` calls the sampler makes, from raw PCG64 words.
+
+    ``random()`` takes a whole word.  A bounded integer takes a 32-bit
+    half-word, low half first; the upper half is kept for the next
+    bounded draw, also across ``random()`` calls.  The half-word is
+    mapped to the range by Lemire's multiply-and-reject method (Lemire
+    2019), as numpy does for ranges up to 2**32.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.PCG64(seed)
+        self._words = iter(())
+        self._half: Optional[int] = None
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._bitgen.random_raw(_WORDS).tolist())
+            word = next(self._words)
+        return word
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def _below(self, n: int) -> int:
+        """Uniform on range(n), 1 <= n <= 2**32; n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = 2**32 % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, low: int, high: int) -> int:
+        """``Generator.integers(low, high)``."""
+        return low + self._below(high - low)
+
+    def integer_list(self, low: int, high: int, size: int) -> list[int]:
+        """``Generator.integers(low, high, size=size).tolist()``."""
+        return [low + self._below(high - low) for _ in range(size)]
+
+    def pair(self, n: int) -> tuple[int, int]:
+        """``Generator.choice(n, 2, replace=False)``: Floyd's algorithm,
+        then the one-step shuffle of the two picks."""
+        i = self._below(n - 1)
+        j = self._below(n)
+        if j == i:
+            j = n - 1
+        if self._below(2) == 0:
+            i, j = j, i
+        return i, j
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,13 +361,13 @@ def _detrace(v: list[int], dim: int) -> list[int]:
     return [dim * x - s for x in v]
 
 
-def _random_vector(dim: int, family: str, rng: np.random.Generator) -> list[int]:
+def _random_vector(dim: int, family: str, draws: _Draws) -> list[int]:
     while True:
-        v = rng.integers(-9, 10, size=dim).tolist()
-        if rng.random() < 0.3 and dim >= 2:
+        v = draws.integer_list(-9, 10, dim)
+        if draws.random() < 0.3 and dim >= 2:
             # Deliberately collide coordinates to land on or near walls.
-            i, j = rng.choice(dim, size=2, replace=False)
-            choice = rng.random()
+            i, j = draws.pair(dim)
+            choice = draws.random()
             if family == "A" or choice < 0.5:
                 v[j] = v[i]
             elif choice < 0.8:
@@ -305,20 +381,46 @@ def _random_vector(dim: int, family: str, rng: np.random.Generator) -> list[int]
 
 
 def _random_face_vector(
-    rank: int, dim: int, coweights: Sequence[Sequence[int]], rng: np.random.Generator
+    rank: int, dim: int, coweights: Sequence[Sequence[int]], draws: _Draws
 ) -> list[int]:
     while True:
-        smask = int(rng.integers(1, 1 << rank))  # nonempty, proper after filter
+        smask = draws.integers(1, 1 << rank)  # nonempty, proper after filter
         outside = [i for i in range(rank) if not smask >> i & 1]
         if not outside:
             continue
         v = [0] * dim
         for i in outside:
-            c = int(rng.integers(1, 5))
-            for k, x in enumerate(coweights[i]):
-                v[k] += c * x
+            c = draws.integers(1, 5)
+            v = [a + c * x for a, x in zip(v, coweights[i])]
         if any(v):
             return v
+
+
+def _spans_mod_p(attempts: list[list[list[int]]], k: int) -> np.ndarray:
+    """Per attempt of k integer vectors, True when they are independent mod p.
+
+    Fraction-free elimination row by row, for the whole batch at once:
+    row i's first nonzero entry is its pivot and clears that column from
+    the rows below it.  A row that is zero by its turn depends on the
+    rows above it, mod p.  A k x k minor that is nonzero mod p is
+    nonzero over the integers, so True proves rank k; False may be an
+    accident of the modulus and must be decided exactly.
+    """
+    work = np.array(attempts, dtype=np.int64) % _P
+    batch = np.arange(len(attempts))
+    spans = np.ones(len(attempts), dtype=bool)
+    for i in range(k):
+        row = work[:, i, :]
+        nonzero = row != 0
+        spans &= nonzero.any(axis=1)
+        if i + 1 == k:
+            break
+        col = nonzero.argmax(axis=1)
+        lead = row[batch, col][:, None, None]
+        below = work[:, i + 1 :, :]
+        factor = below[batch, :, col][:, :, None]
+        work[:, i + 1 :, :] = (lead * below - factor * row[:, None, :]) % _P
+    return spans
 
 
 def random_frames(
@@ -329,21 +431,35 @@ def random_frames(
     singular_fraction: float = 0.5,
     max_attempts: int = 200,
 ) -> list[FrameSpec]:
-    """Deterministic spanning frames, a share of them snapped onto faces."""
-    rng = np.random.default_rng(seed)
-    frames = []
+    """Deterministic spanning frames, a share of them snapped onto faces.
+
+    Each frame is the next attempt that spans; ``max_attempts`` rejected
+    attempts in a row raise ``RuntimeError``.  The draws of an attempt do
+    not depend on earlier verdicts, so attempts are drawn in chunks and
+    tested for spanning together: mod p first, then exactly for the
+    attempts that look rank deficient mod p.
+    """
+    draws = _Draws(seed)
+    frames: list[FrameSpec] = []
     k = space.rank
     dim = space.coord_dim
     family = space.rootsys.family
     coweights = _integer_coweights(space.rootsys)
-    for _ in range(count):
-        for _attempt in range(max_attempts):
+    rejected = 0
+    while len(frames) < count:
+        need = count - len(frames)
+        attempts = []
+        for _ in range(min(_CHUNK, need + need // 8 + 4)):
             n_singular = 0
-            if rng.random() < singular_fraction:
-                n_singular = int(rng.integers(1, k + 1))
-            vectors = [_random_face_vector(k, dim, coweights, rng) for _ in range(n_singular)]
-            vectors += [_random_vector(dim, family, rng) for _ in range(k - n_singular)]
-            if exact_rank(vectors) == k:
+            if draws.random() < singular_fraction:
+                n_singular = draws.integers(1, k + 1)
+            vectors = [_random_face_vector(k, dim, coweights, draws) for _ in range(n_singular)]
+            vectors += [_random_vector(dim, family, draws) for _ in range(k - n_singular)]
+            attempts.append(vectors)
+        for vectors, spans in zip(attempts, _spans_mod_p(attempts, k).tolist()):
+            if rejected >= max_attempts:
+                raise RuntimeError(f"could not sample a spanning frame for {space.name}")
+            if spans or exact_rank(vectors) == k:
                 frames.append(
                     FrameSpec(
                         vectors=tuple(tuple(v) for v in vectors),
@@ -351,9 +467,11 @@ def random_frames(
                         spanning=True,
                     )
                 )
-                break
-        else:
-            raise RuntimeError(f"could not sample a spanning frame for {space.name}")
+                rejected = 0
+                if len(frames) == count:
+                    break
+            else:
+                rejected += 1
     return frames
 
 

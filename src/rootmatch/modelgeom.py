@@ -235,10 +235,9 @@ def ratio_angles(
     with ``angle_to_subspace`` and stays accurate near zero.  Inputs must
     be unit for the trace form.
     """
-    x = np.einsum("bij,jk,blk->bil", rotations, num_mat, rotations)
-    y = np.einsum("bij,jk,blk->bil", rotations, den_mat, rotations)
-    x_diag = np.einsum("bii->bi", x)
-    y_diag = np.einsum("bii->bi", y)
+    # only the diagonals of h @ mat @ h.T are needed: (h @ mat)_ij * h_ij summed over j
+    x_diag = np.einsum("bij,bij->bi", rotations @ num_mat, rotations)
+    y_diag = np.einsum("bij,bij->bi", rotations @ den_mat, rotations)
     num = np.arcsin(np.clip(np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
     den_proj = np.sqrt(
         np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0)

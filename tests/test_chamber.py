@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rootmatch.chamber import (
@@ -130,6 +132,25 @@ def test_vanishing_sets_match_span_membership():
                 if in_span(r.coords, span_basis)
             }
             assert {r.coords for r in face.vanishing} == expected
+
+
+def test_enumerate_faces_pinned():
+    # digest of every face (subset, vanishing coords, codim, witness) of
+    # every non-excluded space of rank 2..8, taken when the support masks
+    # came from per-root rational solves and the witnesses from Fraction sums
+    faces = [
+        (
+            s.name,
+            [
+                (f.simple_subset, tuple(r.coords for r in f.vanishing), f.codim, f.witness)
+                for f in enumerate_faces(s)
+            ],
+        )
+        for s in catalogue()
+        if not s.excluded and 2 <= s.rank <= 8
+    ]
+    assert len(faces) == 54
+    assert hashlib.sha256(repr(faces).encode()).hexdigest()[:16] == "33cef94377ec531f"
 
 
 def test_monotonicity():

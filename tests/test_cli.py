@@ -117,6 +117,24 @@ def test_malformed_frame_file_is_config_error(tmp_path, capsys, command, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[["1","-1","0","0"],["2","-2","0","0"],["3","-3","0","0"]]',
+        '[["1","-1","0","0"]]',
+    ],
+    ids=["dependent", "one_vector"],
+)
+def test_verify_non_spanning_frame_is_config_error(tmp_path, capsys, text):
+    frame = tmp_path / "frame.json"
+    frame.write_text(text)
+    code, out, err = run(capsys, "verify", "--n", "4", "--frame", str(frame))
+    assert code == 2
+    assert out == ""
+    assert "does not span" in err
+    assert "Traceback" not in err
+
+
 def test_match_subcommand(tmp_path, capsys):
     matrix = tmp_path / "matrix.json"
     matrix.write_text(

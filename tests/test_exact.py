@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from rootmatch.exact import dot, exact_rank, in_span, primitive_integer, solve_unique
+from rootmatch.exact import (
+    dot,
+    exact_rank,
+    in_span,
+    primitive_integer,
+    solve_unique,
+    solve_unique_many,
+)
 
 
 def test_dot_exact():
@@ -78,11 +85,24 @@ def test_solve_unique_errors():
         solve_unique([(1, 1)], (1,))  # underdetermined
 
 
+def test_solve_unique_many_matches_single_solves():
+    rows = [(1, -1, 0), (0, 1, -1), (1, 1, 1), (2, 0, 0)]
+    rhss = [(1, 0, 1, 2), (-1, 1, 1, 0), (-1, -1, 6, 2)]  # x = e1, e2, (1, 2, 3)
+    assert solve_unique_many(rows, rhss) == ((1, 0, 0), (0, 1, 0), (1, 2, 3))
+    assert solve_unique_many(rows, rhss) == tuple(solve_unique(rows, b) for b in rhss)
+    with pytest.raises(ValueError):
+        solve_unique_many(rows, [(1, 0, 1, 2), (0, 1, 0, 1)])  # second inconsistent
+    with pytest.raises(ValueError):
+        solve_unique_many(rows, [(1, 0, 0)])
+
+
 def test_primitive_integer():
     assert primitive_integer((Fraction(1, 4), Fraction(1, 4), Fraction(-3, 4), Fraction(1, 4))) == (1, 1, -3, 1)
     assert primitive_integer((4, 6)) == (2, 3)
     assert primitive_integer((0, 0)) == (0, 0)
     assert primitive_integer((Fraction(-2, 3),)) == (-1,)
+    assert primitive_integer((-4, Fraction(6, 1), 0)) == (-2, 3, 0)
+    assert primitive_integer(()) == ()
 
 
 def test_in_span():

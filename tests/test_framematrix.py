@@ -2,9 +2,10 @@ import dataclasses
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rootmatch.chamber import stabilizer_codim
+from rootmatch.chamber import fundamental_coweights, stabilizer_codim
 from rootmatch.errors import (
     DimensionMismatchError,
     EmptyFrameError,
@@ -15,8 +16,12 @@ from rootmatch.errors import (
     NotInFlatError,
     ZeroVectorError,
 )
+from rootmatch.exact import exact_rank, primitive_integer
 from rootmatch.framematrix import (
+    _P,
     SelectionMatrix,
+    _Draws,
+    _spans_mod_p,
     build_matrix,
     load_frame,
     make_frame,
@@ -24,7 +29,7 @@ from rootmatch.framematrix import (
     random_frames,
     verify_properties,
 )
-from rootmatch.rootdata import space
+from rootmatch.rootdata import catalogue, space
 
 SL4 = space("SL(4,R)")
 
@@ -161,6 +166,198 @@ def test_random_frames_pinned():
     for name, want in pinned.items():
         vectors = [f.vectors for f in random_frames(space(name), 200, seed=1)]
         assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:16] == want, name
+
+
+# ---------------------------------------------------------------------------
+# The raw-word sampler against numpy's Generator.
+
+
+def _oracle_random_frames(space_, count, seed, *, singular_fraction=0.5, max_attempts=200):
+    """The sampler written on ``np.random.default_rng``: one numpy call per
+    draw and one exact rank per attempt."""
+    rng = np.random.default_rng(seed)
+    k, dim, family = space_.rank, space_.coord_dim, space_.rootsys.family
+    coweights = [primitive_integer(w) for w in fundamental_coweights(space_.rootsys)]
+
+    def regular_vector():
+        while True:
+            v = rng.integers(-9, 10, size=dim).tolist()
+            if rng.random() < 0.3 and dim >= 2:
+                i, j = rng.choice(dim, size=2, replace=False)
+                choice = rng.random()
+                if family == "A" or choice < 0.5:
+                    v[j] = v[i]
+                elif choice < 0.8:
+                    v[j] = -v[i]
+                else:
+                    v[j] = 0
+            if family == "A":
+                total = sum(v)
+                v = [dim * x - total for x in v]
+            if any(v):
+                return v
+
+    def face_vector():
+        while True:
+            smask = int(rng.integers(1, 1 << k))
+            outside = [i for i in range(k) if not smask >> i & 1]
+            if not outside:
+                continue
+            v = [0] * dim
+            for i in outside:
+                c = int(rng.integers(1, 5))
+                for n, x in enumerate(coweights[i]):
+                    v[n] += c * x
+            if any(v):
+                return v
+
+    frames = []
+    for _ in range(count):
+        for _attempt in range(max_attempts):
+            n_singular = 0
+            if rng.random() < singular_fraction:
+                n_singular = int(rng.integers(1, k + 1))
+            vectors = [face_vector() for _ in range(n_singular)]
+            vectors += [regular_vector() for _ in range(k - n_singular)]
+            if exact_rank(vectors) == k:
+                frames.append(tuple(tuple(v) for v in vectors))
+                break
+        else:
+            raise RuntimeError(f"could not sample a spanning frame for {space_.name}")
+    return frames
+
+
+def test_random_frames_match_generator_oracle():
+    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
+    assert len(spaces) == 42
+    for seed in (1, 6, 12):
+        for s in spaces:
+            frames = random_frames(s, 200, seed=seed)
+            assert all(f.spanning and f.space is s for f in frames)
+            assert [f.vectors for f in frames] == _oracle_random_frames(s, 200, seed), (
+                s.name,
+                seed,
+            )
+
+
+def _outcome(sample):
+    try:
+        return sample()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_random_frames_max_attempts_outcome():
+    # max_attempts counts consecutive rejections, as in the oracle: the
+    # same frames, or the same RuntimeError, for every budget
+    raised = succeeded = 0
+    for name in ("SL(4,R)", "Sp(4,R)", "SU(3,2)", "SO(4,4)"):
+        s = space(name)
+        for max_attempts in (1, 2, 3):
+            for seed in range(6):
+                for fraction in (0.5, 1.0):
+                    kwargs = dict(singular_fraction=fraction, max_attempts=max_attempts)
+                    got = _outcome(
+                        lambda: [f.vectors for f in random_frames(s, 30, seed, **kwargs)]
+                    )
+                    want = _outcome(lambda: _oracle_random_frames(s, 30, seed, **kwargs))
+                    assert got == want, (name, max_attempts, seed, fraction)
+                    if isinstance(got, str):
+                        raised += 1
+                    else:
+                        succeeded += 1
+    assert raised > 10 and succeeded > 10
+
+
+def _half_words(seed, count):
+    """The first 32-bit draws of a fresh PCG64 stream: low half, then high."""
+    words = np.random.PCG64(seed).random_raw(count).tolist()
+    return [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
+
+
+def test_draws_lemire_rejection_path():
+    # at range 3 * 2**30 a half-word h is rejected when h * n mod 2**32 is
+    # below 2**32 mod n = 2**30, about a quarter of the time
+    n = 3 * 2**30
+    rejected = sum(h * n % 2**32 < 2**30 for h in _half_words(7, 200))
+    assert rejected > 50
+    draws, rng = _Draws(7), np.random.default_rng(7)
+    assert [draws.integers(0, n) for _ in range(400)] == [
+        int(rng.integers(0, n)) for _ in range(400)
+    ]
+
+
+def test_draws_carry_half_word_across_random():
+    # integers takes the low half of word 0, random() takes all of word 1,
+    # and the next integers takes the carried high half of word 0
+    words = np.random.PCG64(3).random_raw(3).tolist()
+    draws = _Draws(3)
+    assert draws.integers(0, 19) == (words[0] & 0xFFFFFFFF) * 19 >> 32
+    assert draws.random() == (words[1] >> 11) * 2.0**-53
+    assert draws.integers(0, 19) == (words[0] >> 32) * 19 >> 32
+    assert draws.integers(0, 19) == (words[2] & 0xFFFFFFFF) * 19 >> 32
+    # and the same interleaving, at length, against the Generator
+    draws, rng = _Draws(4), np.random.default_rng(4)
+    for step in range(3000):
+        if step % 3 == 1:
+            assert draws.random() == rng.random()
+        elif step % 7 == 0:
+            assert draws.integer_list(-9, 10, 5) == rng.integers(-9, 10, size=5).tolist()
+        else:
+            assert draws.integers(1, 2 + step % 9) == int(rng.integers(1, 2 + step % 9))
+
+
+def test_draws_pair_matches_choice():
+    draws, rng = _Draws(5), np.random.default_rng(5)
+    for step in range(2000):
+        n = 2 + step % 8
+        assert draws.pair(n) == tuple(int(x) for x in rng.choice(n, size=2, replace=False))
+        if step % 3 == 0:  # move the half-word carry around
+            assert draws.integers(0, 19) == int(rng.integers(0, 19))
+
+
+def test_spans_mod_p_defers_to_exact_rank():
+    # full rank over Q but singular mod p: a zero row mod p, and a
+    # determinant of exactly p; then a rational dependency, and a generic frame
+    multiple = [[_P, 0, 0], [0, 1, 0], [0, 0, 1]]
+    det_p = [[1, 1, 0], [1, 1 + _P, 0], [0, 0, 1]]
+    dependent = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+    generic = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
+    assert _spans_mod_p([multiple, det_p, dependent, generic], 3).tolist() == [
+        False,
+        False,
+        False,
+        True,
+    ]
+    assert exact_rank(multiple) == exact_rank(det_p) == 3
+    assert exact_rank(dependent) == 2
+
+
+def test_random_frames_decide_rank_deficient_mod_p_exactly(monkeypatch):
+    # if every attempt looked singular mod p, exact_rank alone would decide
+    # and the corpus would not change
+    import rootmatch.framematrix as fm
+
+    s = space("SO(3,5)")
+    want = [f.vectors for f in random_frames(s, 50, seed=2)]
+    monkeypatch.setattr(
+        fm, "_spans_mod_p", lambda attempts, k: np.zeros(len(attempts), dtype=bool)
+    )
+    assert [f.vectors for f in random_frames(s, 50, seed=2)] == want
+
+
+def test_spans_mod_p_matches_exact_rank_on_small_entries():
+    # entries of at most 9 keep every k x k minor (k <= 4) below p, so the
+    # test mod p is then exact
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 4):
+        batch = rng.integers(-9, 10, size=(300, k, 5))
+        batch[::3, -1] = batch[::3, 0] * rng.integers(-1, 2, size=(100, 1))
+        batch[1::7, :, 1:] = 0
+        attempts = batch.tolist()
+        expected = [exact_rank(a) == k for a in attempts]
+        assert False in expected and True in expected
+        assert _spans_mod_p(attempts, k).tolist() == expected
 
 
 def test_row_weight_equals_stabilizer_codim():

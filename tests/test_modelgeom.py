@@ -17,6 +17,7 @@ from rootmatch.framematrix import random_frames
 from rootmatch.modelgeom import (
     ModelSpace,
     _exp_skew,
+    _haar_batch,
     _rationalize_flat,
     angle_to_subspace,
     diagonal_exact,
@@ -116,8 +117,6 @@ def test_haar_rotation_contract():
 
 
 def test_haar_statistics():
-    from rootmatch.modelgeom import _haar_batch
-
     rng = np.random.default_rng(1)
     batch = _haar_batch(rng, 4, 10_000)
     assert np.abs(batch.mean(axis=0)).max() <= 0.05
@@ -218,8 +217,6 @@ def test_ratio_angles_match_angle_to_subspace():
     v = np.asarray([1, 1, 1, -3], float)
     v /= np.linalg.norm(v)
     b = MODEL4.b_matrix(0, 3)
-    from rootmatch.modelgeom import _haar_batch
-
     hs = _haar_batch(rng, 4, 8)
     num, den = ratio_angles(b, np.diag(v), hs)
     fperp = MODEL4.fperp_basis()
@@ -231,6 +228,32 @@ def test_ratio_angles_match_angle_to_subspace():
         assert den[k] == pytest.approx(
             angle_to_subspace(h @ np.diag(v) @ h.T, flat), abs=1e-9
         )
+
+
+def _ratio_angles_full_conjugates(num_mat, den_mat, rotations):
+    """``ratio_angles`` through whole conjugates h @ mat @ h.T, as first written."""
+    x = np.einsum("bij,jk,blk->bil", rotations, num_mat, rotations)
+    y = np.einsum("bij,jk,blk->bil", rotations, den_mat, rotations)
+    x_diag = np.einsum("bii->bi", x)
+    y_diag = np.einsum("bii->bi", y)
+    num = np.arcsin(np.clip(np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
+    den_proj = np.sqrt(np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0))
+    return num, np.arcsin(den_proj)
+
+
+def test_ratio_angles_match_full_conjugates():
+    for n in range(4, 9):
+        model = ModelSpace(n)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        v -= v.mean()
+        v /= np.linalg.norm(v)
+        hs = _haar_batch(rng, n, 500)
+        for b in (model.b_matrix(0, n - 1), model.b_matrix(1, 2)):
+            got = ratio_angles(b, np.diag(v), hs)
+            want = _ratio_angles_full_conjugates(b, np.diag(v), hs)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 def test_sample_ratio_contract():
