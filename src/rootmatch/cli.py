@@ -34,7 +34,7 @@ from .framematrix import (
     random_frames,
     verify_properties,
 )
-from .matcher import greedy_match, oracle_match, validate
+from .matcher import deficient_rows, greedy_match, oracle_match, validate
 from .modelgeom import (
     ModelSpace,
     exact_commutator,
@@ -264,8 +264,11 @@ def cmd_match(args) -> tuple[int, str]:
             obj["trace"] = _trace_payload(exc.trace)
     agrees = True
     if args.oracle:
-        obj["oracle_found"] = oracle_match(entries) is not None
+        deficient = deficient_rows(entries)
+        obj["oracle_found"] = deficient is None
         obj["oracle_agrees"] = agrees = obj["oracle_found"] == greedy_found
+        if deficient is not None:
+            obj["oracle_deficient_rows"] = list(deficient)
     status = 0 if greedy_found and agrees else 1
     return status, _json_report(obj)
 

@@ -21,15 +21,20 @@ def dot(x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
 
 
 def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank is unchanged)."""
+    """Scale each row by the lcm of its denominators (rank is unchanged).
+
+    ints and Fractions are scaled through their numerator and
+    denominator; any other rational goes through ``Fraction(x)`` first.
+    Entries come out as Python ints, also where a numerator is a numpy
+    integer, which would wrap around in the elimination.
+    """
+    if {type(x) for row in rows for x in row} <= {int}:
+        return [list(row) for row in rows]
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
+        fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs))
+        out.append([int(f.numerator) * (scale // f.denominator) for f in fracs])
     return out
 
 

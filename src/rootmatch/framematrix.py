@@ -13,7 +13,6 @@ import functools
 import json
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .rootdata import (
     Root,
     RootSystem,
     SpaceDescriptor,
-    evaluate_root,
     is_traceless,
 )
 
@@ -162,30 +160,45 @@ def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     """Build the selection matrix of a frame.
 
     Each frame vector is first scaled to an integer vector on the same
-    ray, which keeps every root's zero pattern.  Entries below 2**60 go
-    through one int64 product with the root coordinates; larger ones
-    fall back to exact per-root evaluation.  A row is the sum of the
-    column masks of the roots that do not vanish on it (the masks are
-    disjoint, so the sum is their union).
+    ray, which keeps every root's zero pattern.  Every root vanishes
+    exactly on one coordinate equality (v_i = v_j, v_i = -v_j or
+    v_i = 0), so a row is the full mask less the masks of the roots
+    whose equality the vector meets, found by grouping its coordinates
+    by value.
     """
     space = frame.space
     rootsys = space.rootsys
-    vectors = integer_rows(frame.vectors)
-    root_masks = rootsys.column_masks
+    minus, plus, axis = rootsys.zero_masks
     labels = rootsys.column_labels
-    # products of a root (entries <= 2, two terms) with a vector must
-    # stay inside int64 for the vectorized path to be exact
-    if max(abs(x) for v in vectors for x in v) < 2**60:
-        values = (np.array(vectors, dtype=np.int64) @ rootsys.coords_t).tolist()
-    else:
-        values = [[evaluate_root(root, v) for root in rootsys.positives] for v in vectors]
+    full = (1 << len(labels)) - 1
+    masks = []
+    for row in integer_rows(frame.vectors):
+        at: dict[int, list[int]] = {}  # coordinate value -> indices so far
+        vanishing = 0
+        for i, x in enumerate(row):
+            if not x:
+                vanishing |= axis[i]
+            opposite = at.get(-x)  # for x == 0, the earlier zeros
+            if opposite:
+                plus_i = plus[i]
+                for j in opposite:
+                    vanishing |= plus_i[j]
+            equal = at.get(x)
+            if equal is None:
+                at[x] = [i]
+            else:
+                minus_i = minus[i]
+                for j in equal:
+                    vanishing |= minus_i[j]
+                equal.append(i)
+        masks.append(full & ~vanishing)
     return SelectionMatrix(
         space=space,
-        rows=len(vectors),
+        rows=len(masks),
         cols=len(labels),
-        masks=tuple(sum(compress(root_masks, row)) for row in values),
+        masks=tuple(masks),
         col_labels=labels,
-        row_labels=tuple(range(len(vectors))),
+        row_labels=tuple(range(len(masks))),
     )
 
 

@@ -4,9 +4,10 @@ Two independent routes certify the same statement.  ``greedy_match`` is
 a staged greedy pass: rows are processed lightest first, the top row of
 each stage takes its two leftmost live entries, and two repair moves
 (one per phase) rescue the known failure modes by revising an earlier
-choice.  ``oracle_match`` is a plain augmenting-path bipartite matching
-over two copies of each row, exact and hypothesis free, used to
-cross-check existence.
+choice.  ``oracle_match`` is an exact, hypothesis-free b-matching in
+which each row holds two columns, used to cross-check existence;
+``deficient_rows`` runs the same search and, when no matching exists,
+names rows S whose 1-entries lie in fewer than 2|S| columns.
 """
 
 from __future__ import annotations
@@ -222,50 +223,76 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     return MatchResult(pairs=pairs), trace
 
 
-def oracle_match(matrix: MatrixLike) -> MatchResult | None:
-    """Exact existence check via augmenting paths on doubled row nodes.
+def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:
+    """Capacity-two b-matching of rows into columns.
 
-    Each search tries a row's columns in ascending order and visits a
-    column at most once; ``visited`` is the bitmask of the columns the
-    current search has visited.
+    Returns ``(held, 0)``, ``held[i]`` being the mask of the two columns
+    row i holds, or ``(None, reached)`` with ``reached`` the mask of the
+    rows a failed search reached.  Each unit of a row's capacity takes
+    the row's lowest free column; when none is free, a breadth-first
+    search over owners looks for a path to a free column (Hopcroft and
+    Karp 1973).  When that search fails, every column of a reached row
+    is held by a reached row, and those rows hold fewer than 2|S|
+    columns, so the reached set S has |N(S)| < 2|S| (Konig 1931).
     """
+    free = (1 << m) - 1
+    owner = [0] * m
+    held = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for _unit in (0, 1):
+            r, avail = i, row & free
+            if not avail:
+                # breadth first over owners: the rows reached, the columns
+                # they hold, and per row the row and column it was reached by
+                reached, covered, via, queue = 1 << i, held[i], {}, [i]
+                for r in queue:
+                    avail = rows[r] & free
+                    if avail:
+                        break
+                    todo = rows[r] & ~covered
+                    while todo:
+                        low = todo & -todo
+                        todo ^= low
+                        o = owner[low.bit_length() - 1]
+                        if not reached >> o & 1:
+                            reached |= 1 << o
+                            covered |= held[o]
+                            via[o] = (r, low)
+                            queue.append(o)
+                else:
+                    return None, reached
+            # r takes its lowest free column; each row on the path back to
+            # i hands the column it was reached by to the row before it
+            low = avail & -avail
+            free ^= low
+            while True:
+                held[r] |= low
+                owner[low.bit_length() - 1] = r
+                if r == i:
+                    break
+                prev, given = via[r]
+                held[r] ^= given
+                r, low = prev, given
+    return held, 0
+
+
+def oracle_match(matrix: MatrixLike) -> MatchResult | None:
+    """Exact existence check: a two-per-row matching, or None."""
     rows, m = _rows_of(matrix)
-    n = len(rows)
-    match_col: list[tuple[int, int] | None] = [None] * m
-    visited = 0
-
-    def augment(node: tuple[int, int]) -> bool:
-        nonlocal visited
-        row = rows[node[0]]
-        todo = row & ~visited
-        while todo:
-            low = todo & -todo
-            c = low.bit_length() - 1
-            visited |= low
-            holder = match_col[c]
-            # a holder with no unvisited column left cannot move
-            if holder is None or (rows[holder[0]] & ~visited and augment(holder)):
-                match_col[c] = node
-                return True
-            todo = row & ~visited & -(low << 1)  # unvisited columns above c
-        return False
-
-    matched = 0
-    for i in range(n):
-        for copy in (0, 1):
-            visited = 0
-            if augment((i, copy)):
-                matched += 1
-    if matched < 2 * n:
+    held, _reached = _two_per_row(rows, m)
+    if held is None:
         return None
-    cols_by_row: dict[int, list[int]] = {i: [] for i in range(n)}
-    for c, holder in enumerate(match_col):
-        if holder is not None:
-            cols_by_row[holder[0]].append(c)
-    pairs = tuple(
-        (min(cols_by_row[i]), max(cols_by_row[i])) for i in range(n)
-    )
-    return MatchResult(pairs=pairs)
+    # each mask holds two bits: the lowest and the highest
+    return MatchResult(pairs=tuple(((h & -h).bit_length() - 1, h.bit_length() - 1) for h in held))
+
+
+def deficient_rows(matrix: MatrixLike) -> tuple[int, ...] | None:
+    """Rows S with |N(S)| < 2|S| (0-based), or None when a matching exists."""
+    rows, m = _rows_of(matrix)
+    held, reached = _two_per_row(rows, m)
+    if held is not None:
+        return None
+    return tuple(i for i in range(len(rows)) if reached >> i & 1)
 
 
 def validate(matrix: MatrixLike, result: MatchResult) -> bool:

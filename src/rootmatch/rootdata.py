@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
@@ -79,21 +77,34 @@ class RootSystem:
         )
 
     @functools.cached_property
-    def column_masks(self) -> tuple[int, ...]:
-        """Per positive root, the bitmask of its columns."""
-        masks = []
-        start = 0
-        for root in self.positives:
-            masks.append(((1 << root.multiplicity) - 1) << start)
-            start += root.multiplicity
-        return tuple(masks)
+    def zero_masks(self) -> tuple[tuple, tuple, tuple[int, ...]]:
+        """Column masks of the roots that vanish on a coordinate equality.
 
-    @functools.cached_property
-    def coords_t(self) -> np.ndarray:
-        """Root coordinates as int64 columns: ``vectors @ coords_t`` evaluates every root."""
-        coords_t = np.array([r.coords for r in self.positives], dtype=np.int64).T.copy()
-        coords_t.flags.writeable = False
-        return coords_t
+        Every positive root is c(e_i - e_j), c(e_i + e_j) or c e_i, which
+        vanish exactly when v_i = v_j, v_i = -v_j or v_i = 0.  Returns
+        ``(minus, plus, axis)``: ``minus[i][j]`` and ``plus[i][j]`` (both
+        symmetric) are the masks of the roots of the first two forms on
+        coordinates i and j, ``axis[i]`` that of the roots on coordinate i.
+        """
+        dim = self.coord_dim
+        minus = [[0] * dim for _ in range(dim)]
+        plus = [[0] * dim for _ in range(dim)]
+        axis = [0] * dim
+        start = 0  # first column of the root
+        for root in self.positives:
+            mask = ((1 << root.multiplicity) - 1) << start
+            start += root.multiplicity
+            c, support = root.coords, root.support
+            if len(support) == 1:
+                axis[support[0]] |= mask
+            elif len(support) == 2 and abs(c[support[0]]) == abs(c[support[1]]):
+                i, j = support
+                table = minus if c[i] == -c[j] else plus
+                table[i][j] |= mask
+                table[j][i] |= mask
+            else:
+                raise InvalidParamsError(f"root {c} is not c(e_i - e_j), c(e_i + e_j) or c e_i")
+        return tuple(map(tuple, minus)), tuple(map(tuple, plus)), tuple(axis)
 
 
 def _unit(dim: int, i: int, value: int = 1) -> list[int]:

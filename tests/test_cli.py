@@ -174,6 +174,12 @@ def test_match_no_matching(tmp_path, capsys):
     assert payload["pairs"] is None
     assert payload["oracle_found"] is False
     assert payload["oracle_agrees"] is True
+    # the certificate: a row set S whose columns number fewer than 2|S|
+    rows = [[1, 1, 0], [1, 1, 0]]
+    deficient = payload["oracle_deficient_rows"]
+    assert deficient and set(deficient) <= set(range(len(rows)))
+    union = {j for i in deficient for j, x in enumerate(rows[i]) if x}
+    assert len(union) < 2 * len(deficient)
 
 
 def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
@@ -190,6 +196,7 @@ def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
     assert payload["pairs"] is None
     assert payload["oracle_found"] is True
     assert payload["oracle_agrees"] is False
+    assert "oracle_deficient_rows" not in payload
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None, 2, -1])

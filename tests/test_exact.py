@@ -1,11 +1,15 @@
+from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
+import numpy as np
 import pytest
 
 from rootmatch.exact import (
     dot,
     exact_rank,
     in_span,
+    integer_rows,
     primitive_integer,
     solve_unique,
     solve_unique_many,
@@ -103,6 +107,55 @@ def test_primitive_integer():
     assert primitive_integer((Fraction(-2, 3),)) == (-1,)
     assert primitive_integer((-4, Fraction(6, 1), 0)) == (-2, 3, 0)
     assert primitive_integer(()) == ()
+
+
+def _old_integer_rows(rows):
+    """The former formula: every entry as ``int(Fraction(x) * lcm)``."""
+    out = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs))
+        out.append([int(f * scale) for f in fracs])
+    return out
+
+
+def test_integer_rows_matches_fraction_formula():
+    big = 2**61 - 1  # coprime to the other large denominator below
+    rows = [
+        (1, -2, 0, 7),
+        (Fraction(1, 2), -3, 0, Fraction(-5, 6)),
+        (0, Fraction(-7, 9), Fraction(4, 15), 2),
+        (Fraction(3, big), Fraction(-1, 3**40), 0, 5),
+        (Fraction(-(2**70), 7), Fraction(2**65 + 1, 11), -(2**80), 0),
+        (Fraction(6, 3), Fraction(-4, 2), 0, 1),  # Fractions that are ints
+    ]
+    for n in range(1, len(rows) + 1):
+        got = integer_rows(rows[:n])
+        assert got == _old_integer_rows(rows[:n])
+        assert all(type(x) is int for row in got for x in row)
+    assert integer_rows(rows[3:4]) == [[3 * 3**40, -big, 0, 5 * big * 3**40]]
+
+
+def test_integer_rows_other_rationals_go_through_fraction():
+    # floats and Decimals have no numerator and denominator to scale by,
+    # and bools and numpy integers are not of type int: Fraction(x) first
+    rows = [
+        (0.5, Fraction(1, 3), -2, 0),
+        (Decimal("-1.25"), 3, Decimal("0")),
+        (True, False, 2),
+        (np.int64(-4), Fraction(3, 8), 0),
+    ]
+    for row in rows:
+        assert integer_rows([row]) == _old_integer_rows([row])
+    assert integer_rows(rows[:1]) == [[3, 2, -12, 0]]
+    assert integer_rows(rows[1:3]) == [[-5, 12, 0], [1, 0, 2]]
+    assert all(type(x) is int for row in integer_rows(rows) for x in row)
+    # numpy integers, alone or inside a Fraction, become Python ints: in
+    # int64 the elimination below would wrap 2**64 to 0 and lose a rank
+    wide = [[2**32, 0, -(2**32)], [0, 2**32, -(2**32)]]
+    assert exact_rank(np.array(wide, dtype=np.int64)) == 2
+    inner = Fraction(np.int64(2**40), 3)
+    assert type(integer_rows([(inner, 1)])[0][0]) is int
 
 
 def test_in_span():

@@ -88,8 +88,8 @@ def test_rational_and_integer_paths_agree():
 
 
 def test_large_entries_take_the_exact_path():
-    # entries of 2**60 and more skip the int64 product; the zero pattern
-    # is that of the small vectors on the same rays
+    # entries far above any machine word; the zero pattern is that of the
+    # small vectors on the same rays
     ints = [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)]
     big = [tuple(x * 2**70 for x in v) for v in ints]
     # scaled to integers, these become x * (3**45 + 1), above 2**71
@@ -143,6 +143,59 @@ def test_entries_match_per_root_evaluation():
                 for j, (root, _slot) in enumerate(m.col_labels):
                     expected = 1 if evaluate_root(root, v) != 0 else 0
                     assert m.entries[i][j] == expected
+
+
+def _expected_entries(s, v):
+    from rootmatch.rootdata import evaluate_root
+
+    value = {root: evaluate_root(root, v) for root in s.rootsys.positives}
+    return tuple(1 if value[root] != 0 else 0 for root, _slot in s.rootsys.column_labels)
+
+
+def _hand_vectors(s):
+    """Integer vectors with zero, repeated and opposite coordinates."""
+    d = s.coord_dim
+    bases = [
+        [3, 0, 3, -3, 0, 5, -5, 5, 1],
+        [0, 2, -2, 2, 0, -2, 7, 0, 7],
+        [4, -4, 4, -4, 4, -4, 4, -4, 4],
+        [0] * (d - 1) + [1],
+        list(range(1, 10)),
+    ]
+    for base in bases:
+        v = base[:d]
+        if s.rootsys.family == "A":  # into the trace-zero flat; equalities stay
+            v = [d * x - sum(v) for x in v]
+        if any(v):
+            yield v
+
+
+def _encodings(v):
+    """The same ray as ints, as mixed ints and Fractions of denominators
+    2, 3 and 6, and with entries of 2**70 and more."""
+    yield tuple(v)
+    yield tuple(Fraction(x, 6) if x % 6 else x // 6 for x in v)
+    yield tuple(x * (2**70 + 1) for x in v)
+    yield tuple(Fraction(x * 3**45, 2**70 + 1) for x in v)
+
+
+def test_build_kernel_matches_root_evaluation_on_the_catalogue():
+    # every non-excluded space of rank 2..8: A, D, C, B with short_mult
+    # 1..3, BC with p = q and p > q
+    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 8]
+    kinds = {(s.rootsys.family, s.param("r") if s.rootsys.family == "B" else 0) for s in spaces}
+    assert kinds >= {("A", 0), ("D", 0), ("C", 0), ("BC", 0), ("B", 1), ("B", 2), ("B", 3)}
+    assert any(s.rootsys.family == "BC" and s.param("p") == s.param("q") for s in spaces)
+    assert any(s.rootsys.family == "BC" and s.param("p") > s.param("q") for s in spaces)
+    for s in spaces:
+        frames = random_frames(s, 20, seed=3)
+        frames += [make_frame(s, [w]) for v in _hand_vectors(s) for w in _encodings(v)]
+        for frame in frames:
+            m = build_matrix(frame)
+            assert m.entries == tuple(_expected_entries(s, v) for v in frame.vectors), (
+                s.name,
+                frame.vectors,
+            )
 
 
 def test_random_frames_deterministic():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rootmatch.errors import MalformedMatrixError, NoMatchingError
 from rootmatch.exact import exact_rank
 from rootmatch.framematrix import build_matrix, make_frame
-from rootmatch.matcher import greedy_match, oracle_match, validate
+from rootmatch.matcher import deficient_rows, greedy_match, oracle_match, validate
 from rootmatch.rootdata import space
 
 SL4 = space("SL(4,R)")
@@ -279,6 +279,42 @@ def _hall_condition(rows) -> bool:
     return True
 
 
+def _assert_certificate(rows, deficient, oracle):
+    """``deficient_rows`` is None exactly when the oracle matches, and
+    otherwise names rows S whose columns number fewer than 2|S|."""
+    assert (deficient is None) == (oracle is not None)
+    if deficient is None:
+        return
+    assert deficient and list(deficient) == sorted(set(deficient))
+    assert 0 <= deficient[0] and deficient[-1] < len(rows)
+    union = {j for i in deficient for j, x in enumerate(rows[i]) if x}
+    assert len(union) < 2 * len(deficient)
+
+
+def _exhaustive_matrices():
+    """Every row-sorted 3 x 6 0/1 matrix (the SL(4,R) shape), and every
+    matrix of 1 or 2 rows and 1 to 6 columns."""
+    bits = lambda m, mask: [mask >> j & 1 for j in range(m)]
+    for masks in itertools.combinations_with_replacement(range(64), 3):
+        yield [bits(6, mask) for mask in masks]
+    for m in range(1, 7):
+        for n in (1, 2):
+            for masks in itertools.product(range(1 << m), repeat=n):
+                yield [bits(m, mask) for mask in masks]
+
+
+def test_oracle_exhaustive_on_small_shapes():
+    count = 0
+    for rows in _exhaustive_matrices():
+        count += 1
+        oracle = oracle_match(rows)
+        assert (oracle is not None) == _hall_condition(rows), rows
+        if oracle is not None:
+            assert validate(rows, oracle), rows
+        _assert_certificate(rows, deficient_rows(rows), oracle)
+    assert count == 45760 + sum(2**m + 4**m for m in range(1, 7))
+
+
 @st.composite
 def _binary_matrices(draw):
     n = draw(st.integers(1, 7))
@@ -294,6 +330,7 @@ def test_oracle_matches_exactly_when_hall_condition_holds(rows):
     assert (oracle is not None) == hall
     if oracle is not None:
         assert validate(rows, oracle)
+    _assert_certificate(rows, deficient_rows(rows), oracle)
     try:
         greedy, _trace = greedy_match(rows)
     except NoMatchingError:

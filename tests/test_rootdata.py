@@ -15,6 +15,7 @@ from rootmatch.rootdata import (
     KTYPE_SO,
     KTYPE_SO_PAIR,
     Root,
+    RootSystem,
     build_root_system,
     catalogue,
     evaluate_root,
@@ -53,6 +54,24 @@ def test_b_family_short_multiplicity():
     shorts = [r for r in rs.positives if sum(abs(c) for c in r.coords) == 1]
     assert len(shorts) == 3
     assert all(r.multiplicity == 2 for r in shorts)
+
+
+def test_zero_masks_for_bc():
+    # SU(4,2): columns of e1 (multiplicity 2(p - q) = 4), 2e1, e1 - e2 and
+    # e1 + e2 (2 each), then e2 (4) and 2e2
+    rs = space("SU(4,2)").rootsys
+    assert [r.coords for r in rs.positives] == [(1, 0), (2, 0), (1, -1), (1, 1), (0, 1), (0, 2)]
+    minus, plus, axis = rs.zero_masks
+    assert minus == ((0, 0b11 << 5), (0b11 << 5, 0))
+    assert plus == ((0, 0b11 << 7), (0b11 << 7, 0))
+    assert axis == (0b11111, 0b11111 << 9)
+
+
+def test_zero_masks_reject_other_roots():
+    for coords in ((1, 2), (1, 1, -1)):
+        rs = RootSystem("A", 1, (Root(coords, 1),))
+        with pytest.raises(InvalidParamsError):
+            rs.zero_masks
 
 
 def test_family_and_param_errors():
