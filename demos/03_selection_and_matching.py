@@ -3,8 +3,9 @@
 Rows of the selection matrix are frame vectors, columns are root
 multiplicity slots, and an entry is 1 when the root does not vanish on
 the vector.  The greedy pass then picks two 1-entries per row, all in
-distinct columns, repairing earlier choices in the two known failure
-modes; an exact augmenting-path matching cross-checks existence.
+distinct columns, skipping a leftmost pair only when the rows still
+pending could not be matched after it; an exact augmenting-path
+matching cross-checks existence.
 """
 
 from rootmatch import (
@@ -36,20 +37,27 @@ result, trace = greedy_match(matrix)
 for stage in trace.stages:
     chosen = [labels[c] for c in stage.chosen]
     print(f"stage {stage.stage} (phase {stage.phase}): row {stage.top_row} takes {chosen}")
-print("repairs:", trace.repairs or "none")
+print("deferred pairs:", trace.repairs or "none")
 print("valid:", validate(matrix, result))
 print("oracle agrees:", oracle_match(matrix) is not None)
 print()
 
-# A frame of three maximal walls forces the phase-1 repair: the final
-# row would be starved, so the first row revises its stage-1 choice.
+# On a frame of three maximal walls the leftmost pair of the first row
+# would starve the rows after it, so the guard skips that pair; the rows
+# that block it would have fewer than two columns each left.
 wall_frame = make_frame(sl4, [(-3, 1, 1, 1), (1, -3, 1, 1), (1, 1, -3, 1)])
 wall_matrix = build_matrix(wall_frame)
+wall_labels = [column_label(root, slot) for root, slot in wall_matrix.col_labels]
 result, trace = greedy_match(wall_matrix)
 print("all-wall frame pairs:", result.pairs)
-for repair in trace.repairs:
+for d in trace.repairs:
+    taken = {c for s in trace.stages if s.stage < d.stage for c in s.chosen} | set(d.pair)
+    held = [
+        wall_labels[c]
+        for c in range(wall_matrix.cols)
+        if c not in taken and any(wall_matrix.entries[i][c] for i in d.blocking_rows)
+    ]
     print(
-        f"repair {repair.kind}: row {repair.donor_row} returned column"
-        f" {repair.column_restored} to row {repair.failing_row} and took"
-        f" column {repair.column_taken}"
+        f"stage {d.stage}: row {d.row} skips {[wall_labels[c] for c in d.pair]};"
+        f" rows {list(d.blocking_rows)} would have only {held} left"
     )

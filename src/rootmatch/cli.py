@@ -229,16 +229,14 @@ def _trace_payload(trace) -> dict:
             }
             for s in trace.stages
         ],
-        "repairs": [
+        "deferred": [
             {
-                "kind": r.kind,
-                "stage": r.stage,
-                "failing_row": r.failing_row,
-                "donor_row": r.donor_row,
-                "column_restored": r.column_restored + 1,
-                "column_taken": r.column_taken + 1,
+                "stage": d.stage,
+                "row": d.row,
+                "pair": [c + 1 for c in d.pair],
+                "blocking_rows": list(d.blocking_rows),
             }
-            for r in trace.repairs
+            for d in trace.repairs
         ],
     }
 

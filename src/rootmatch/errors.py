@@ -44,9 +44,10 @@ class MalformedMatrixError(RootmatchError):
 
 
 class NoMatchingError(RootmatchError):
-    """The staged greedy selection failed even after its repairs.
+    """The matrix has no two-per-row matching, so the greedy selection
+    stranded a row.
 
-    Carries the partial trace for inspection.
+    Carries the partial trace of the plain leftmost pass for inspection.
     """
 
     def __init__(self, message, trace=None):

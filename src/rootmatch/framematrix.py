@@ -62,7 +62,7 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
             raise DimensionMismatchError(
                 f"frame vector length {len(v)} != coordinate dimension {space.coord_dim}"
             )
-        if not any(Fraction(x) != 0 for x in v):
+        if not any(x != 0 for x in v):
             raise ZeroVectorError("frame vectors must be nonzero")
         if space.rootsys.family == "A" and not is_traceless(v):
             raise NotInFlatError("A-family frame vectors must have zero coordinate sum")

@@ -1,18 +1,20 @@
 """Choosing two columns per row, all distinct.
 
 Two independent routes certify the same statement.  ``greedy_match`` is
-a staged greedy pass: rows are processed lightest first, the top row of
-each stage takes its two leftmost live entries, and two repair moves
-(one per phase) rescue the known failure modes by revising an earlier
-choice.  ``oracle_match`` is an exact, hypothesis-free b-matching in
-which each row holds two columns, used to cross-check existence;
-``deficient_rows`` runs the same search and, when no matching exists,
-names rows S whose 1-entries lie in fewer than 2|S| columns.
+a staged greedy pass: rows are processed lightest first, and the top row
+of each stage takes its leftmost live pair after which the rows still
+pending can be matched (Hall's guard).  Each pair the guard skips is
+recorded with the rows that rule it out.  ``oracle_match`` is an exact,
+hypothesis-free b-matching in which each row holds two columns, used to
+cross-check existence; ``deficient_rows`` runs the same search and, when
+no matching exists, names rows S whose 1-entries lie in fewer than 2|S|
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Union
 
 from .errors import NoMatchingError
@@ -26,16 +28,6 @@ def _rows_of(matrix: MatrixLike) -> tuple[tuple[int, ...], int]:
     if isinstance(matrix, SelectionMatrix):
         return matrix.masks, matrix.cols
     return masks_from_rows(matrix)
-
-
-def _low_bits(mask: int, count: int) -> list[int]:
-    """Indices of the lowest ``count`` set bits of ``mask``, ascending."""
-    out = []
-    while mask and len(out) < count:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -59,127 +51,36 @@ class StageRecord:
 
 
 @dataclass(frozen=True)
-class RepairRecord:
-    kind: str  # "last_row_swap" or "put_back"
+class DeferralRecord:
+    """A live pair the top row skipped: once ``pair`` is taken, the
+    pending rows ``blocking_rows`` (S) have fewer than 2|S| of the
+    columns left, so no matching of them exists (Hall's theorem)."""
+
     stage: int
-    failing_row: int
-    donor_row: int
-    column_restored: int
-    column_taken: int
+    row: int
+    pair: tuple[int, int]
+    blocking_rows: tuple[int, ...]
+    kind: str = "deferred"
 
 
 @dataclass(frozen=True)
 class AlgoTrace:
     stages: tuple[StageRecord, ...]
-    repairs: tuple[RepairRecord, ...]
+    repairs: tuple[DeferralRecord, ...]
 
 
-def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
-    """Run the staged greedy selection, with both repairs, and trace it.
-
-    Phase 1 processes the rows whose weight equals the number of rows;
-    phase 2 continues with the remaining rows without resetting the
-    stage counter.  Tie-breaks are deterministic: stages take the
-    lightest surviving row (stable in the original row index) and the
-    top row takes its two leftmost live entries.  On inputs violating
-    the structural properties the run is best effort and may raise
-    ``NoMatchingError``; it never loops.
-    """
-    rows, m = _rows_of(matrix)
+def _staged(rows: Sequence[int], m: int, guarded: bool):
+    """One staged pass; returns ``(assigned, stages, deferrals)``, with
+    ``assigned`` None when a top row has fewer than two live entries."""
     n = len(rows)
-    weights = [row.bit_count() for row in rows]
-    surviving = (1 << m) - 1  # columns no row holds right now
-    removed_ever = 0  # columns some row has held
-    assigned: dict[int, list[int]] = {}
-    processed: list[int] = []
+    surviving = (1 << m) - 1  # columns no row holds yet
+    assigned: dict[int, tuple[int, int]] = {}
     stages: list[StageRecord] = []
-    repairs: list[RepairRecord] = []
-    repair_used = {1: False, 2: False}
+    deferrals: list[DeferralRecord] = []
     pending = {
-        1: [i for i in range(n) if weights[i] == n],
-        2: [i for i in range(n) if weights[i] != n],
+        1: [i for i in range(n) if rows[i].bit_count() == n],
+        2: [i for i in range(n) if rows[i].bit_count() != n],
     }
-
-    def fail(stage: int):
-        trace = AlgoTrace(stages=tuple(stages), repairs=tuple(repairs))
-        raise NoMatchingError(f"greedy selection failed at stage {stage}", trace=trace)
-
-    def repair_last_row_swap(failing: int, stage: int) -> bool:
-        # Revise the first phase-1 choice: hand the failing row back the
-        # column it shared with that row, and let the donor take one of
-        # its entries no other row uses.
-        nonlocal surviving, removed_ever
-        if repair_used[1]:
-            return False
-        phase1_done = [i for i in processed if weights[i] == n]
-        if not phase1_done:
-            return False
-        donor = phase1_done[0]
-        pair = assigned[donor]
-        overlap = [c for c in pair if rows[failing] >> c & 1]
-        if not overlap:
-            return False
-        restored = overlap[0]
-        others = 0
-        for i in range(n):
-            if i != donor:
-                others |= rows[i]
-        private = rows[donor] & surviving & ~others & ~sum(1 << c for c in pair)
-        if not private:
-            return False
-        taken = _low_bits(private, 1)[0]
-        pair.remove(restored)
-        pair.append(taken)
-        surviving |= 1 << restored
-        surviving &= ~(1 << taken)
-        removed_ever |= 1 << taken
-        repairs.append(
-            RepairRecord("last_row_swap", stage, failing, donor, restored, taken)
-        )
-        repair_used[1] = True
-        return True
-
-    def repair_put_back(failing: int, stage: int) -> bool:
-        # Take the lowest never-removed columns holding a 1 of an already
-        # processed row (those rows can donate: they have a chosen pair),
-        # hand them to their owners, and put back the higher-indexed
-        # column of each donor pair.  Two such columns exist in the
-        # analyzed failure mode; a single one still rescues a failing row
-        # that kept one live entry.
-        nonlocal surviving, removed_ever
-        if repair_used[2]:
-            return False
-        held = 0
-        for i in processed:
-            held |= rows[i]
-        fresh = _low_bits(held & ~removed_ever, 2)
-        if not fresh:
-            return False
-        plan = []
-        pair_copies = {i: list(assigned[i]) for i in processed}
-        newly_taken: set[int] = set()
-        for c in fresh:
-            donor = next(i for i in processed if rows[i] >> c & 1)
-            options = [x for x in pair_copies[donor] if x not in newly_taken]
-            if not options:
-                return False
-            put_back = max(options)
-            pair_copies[donor].remove(put_back)
-            pair_copies[donor].append(c)
-            newly_taken.add(c)
-            plan.append((donor, put_back, c))
-        for donor, put_back, c in plan:
-            assigned[donor].remove(put_back)
-            assigned[donor].append(c)
-            surviving |= 1 << put_back
-            surviving &= ~(1 << c)
-            removed_ever |= 1 << c
-            repairs.append(
-                RepairRecord("put_back", stage, failing, donor, put_back, c)
-            )
-        repair_used[2] = True
-        return True
-
     t = 1
     phase = 1 if pending[1] else 2
     while pending[1] or pending[2]:
@@ -189,17 +90,27 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
         counts = {i: (rows[i] & surviving).bit_count() for i in pool}
         order = sorted(pool, key=counts.__getitem__)
         top = order[0]
-        candidates = _low_bits(rows[top] & surviving, 2)
-        if len(candidates) < 2:
-            if phase == 1:
-                repaired = repair_last_row_swap(top, t)
+        pool.remove(top)
+        live = rows[top] & surviving
+        if not guarded:
+            low = live & -live
+            live ^= low
+            if not live:
+                return None, stages, deferrals
+            chosen = (low.bit_length() - 1, (live & -live).bit_length() - 1)
+        else:
+            # the leftmost pair after which the pending rows still match;
+            # one passes while they and the top row have a matching
+            others = pending[1] + pending[2]
+            for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
+                rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
+                held, reached = _two_per_row([rows[i] & rest for i in others], m)
+                if held is not None:
+                    break
+                blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
+                deferrals.append(DeferralRecord(t, top, chosen, blocking))
             else:
-                repaired = repair_put_back(top, t)
-            if repaired:
-                candidates = _low_bits(rows[top] & surviving, 2)
-            if len(candidates) < 2:
-                fail(t)
-        chosen = (candidates[0], candidates[1])
+                raise AssertionError("Hall's guard rejected every pair")
         stages.append(
             StageRecord(
                 stage=t,
@@ -210,17 +121,41 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
                 chosen=chosen,
             )
         )
-        assigned[top] = list(chosen)
-        chosen_mask = (1 << chosen[0]) | (1 << chosen[1])
-        surviving &= ~chosen_mask
-        removed_ever |= chosen_mask
-        pool.remove(top)
-        processed.append(top)
+        assigned[top] = chosen
+        surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
         t += 1
+    return assigned, stages, deferrals
 
-    pairs = tuple((min(assigned[i]), max(assigned[i])) for i in range(n))
-    trace = AlgoTrace(stages=tuple(stages), repairs=tuple(repairs))
-    return MatchResult(pairs=pairs), trace
+
+def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
+    """Run the staged greedy selection with Hall's guard, and trace it.
+
+    Phase 1 processes the rows whose weight equals the number of rows;
+    phase 2 continues with the remaining rows without resetting the
+    stage counter.  Stages take the lightest surviving row (stable in
+    the original row index), and the top row takes the lexicographically
+    first live pair after which the pending rows, on the columns left,
+    still have a two-per-row matching; each pair skipped is a
+    ``DeferralRecord`` in ``trace.repairs``.  The guard is checked only
+    when the plain leftmost pass strands a row: a completed plain pass
+    is a matching of every residual, so the guard would have passed
+    each of its pairs.  Raises ``NoMatchingError`` exactly when the
+    matrix has no two-per-row matching.
+    """
+    rows, m = _rows_of(matrix)
+    assigned, stages, deferrals = _staged(rows, m, guarded=False)
+    if assigned is None:
+        held, reached = _two_per_row(rows, m)
+        if held is None:
+            blocking = [i for i in range(len(rows)) if reached >> i & 1]
+            raise NoMatchingError(
+                f"greedy selection failed at stage {len(stages) + 1}: no matching"
+                f" exists, rows {blocking} hold fewer than {2 * len(blocking)} columns",
+                trace=AlgoTrace(stages=tuple(stages), repairs=()),
+            )
+        assigned, stages, deferrals = _staged(rows, m, guarded=True)
+    pairs = tuple(assigned[i] for i in range(len(rows)))
+    return MatchResult(pairs=pairs), AlgoTrace(stages=tuple(stages), repairs=tuple(deferrals))
 
 
 def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -345,4 +346,11 @@ def space(name: str) -> SpaceDescriptor:
 
 
 def is_traceless(v: Sequence[Rat]) -> bool:
-    return sum(Fraction(x) for x in v) == 0
+    """Exact zero sum: ints and Fractions are added as they are, other
+    integers (numpy's would wrap around) through ``int``, the rest
+    through ``Fraction``."""
+    return sum(
+        x if type(x) is int or type(x) is Fraction
+        else int(x) if isinstance(x, Integral) else Fraction(x)
+        for x in v
+    ) == 0

@@ -183,20 +183,34 @@ def test_match_no_matching(tmp_path, capsys):
 
 
 def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
-    # Selection matrix of the spanning SL(4,R) frame
-    # (-8,8,-8,8), (6,-6,-6,6), (-2,-2,2,2): greedy fails, the oracle finds
-    # a matching, and the report says so instead of hiding it.
+    # Selection matrices on which the leftmost greedy pass strands a row
+    # although a matching exists: the spanning SL(4,R) frame
+    # (-8,8,-8,8), (6,-6,-6,6), (-2,-2,2,2), and frame 991 of
+    # random_frames(SL(4,R), 1000, seed=6), (3,3,-3,-3), (10,2,2,-14),
+    # (14,-14,-14,14), whose matrix is also that of frame 267 of the
+    # seed-12 corpus, (3,3,-3,-3), (11,-1,-1,-9), (18,-18,-18,18).  Greedy
+    # defers a pair, finds a matching and agrees with the oracle.
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(
-        json.dumps({"entries": [[1, 0, 1, 1, 0, 1], [1, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0]]})
-    )
-    code, out, _err = run(capsys, "match", "--input", str(matrix), "--oracle")
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["pairs"] is None
-    assert payload["oracle_found"] is True
-    assert payload["oracle_agrees"] is False
-    assert "oracle_deficient_rows" not in payload
+    for entries in (
+        [[1, 0, 1, 1, 0, 1], [1, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0]],
+        [[0, 1, 1, 1, 1, 0], [1, 1, 1, 0, 1, 1], [1, 1, 0, 0, 1, 1]],
+    ):
+        matrix.write_text(json.dumps({"entries": entries}))
+        code, out, _err = run(capsys, "match", "--input", str(matrix), "--oracle", "--trace")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["valid"] is True
+        assert payload["oracle_found"] is True
+        assert payload["oracle_agrees"] is True
+        assert "oracle_deficient_rows" not in payload
+        deferred = payload["trace"]["deferred"]
+        assert deferred
+        for d in deferred:
+            # pair is 1-based like chosen; blocking_rows 0-based like top_row
+            assert all(entries[d["row"]][c - 1] for c in d["pair"])
+            assert d["row"] not in d["blocking_rows"]
+            assert set(d["blocking_rows"]) <= set(range(len(entries)))
+    assert payload["pairs"] == [[2, 4], [3, 6], [1, 5]]
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None, 2, -1])

@@ -510,8 +510,10 @@ def test_make_frame_validation():
         make_frame(SL4, [(1, 0, -1)])
     with pytest.raises(ZeroVectorError):
         make_frame(SL4, [(0, 0, 0, 0)])
-    with pytest.raises(NotInFlatError):
-        make_frame(SL4, [(1, 0, 0, 0)])
+    # numpy int64 entries are summed exactly: 4 * 2**62 wraps to 0 in int64
+    for vector in [(1, 0, 0, 0), (np.int64(2**62),) * 4]:
+        with pytest.raises(NotInFlatError):
+            make_frame(SL4, [vector])
     with pytest.raises(InvalidParamsError):
         make_frame(
             SL4,
