@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
-from .chamber import enumerate_faces, verify_codim_bounds
+from . import __version__, checks
+from .chamber import verify_codim_bounds
 from .errors import (
+    CheckFailedError,
     EpsilonTooLargeError,
     ExcludedSpaceError,
     FrameFileError,
@@ -28,28 +28,15 @@ from .errors import (
     RootmatchError,
     UnknownSpaceError,
 )
-from .framematrix import (
-    build_matrix,
-    load_frame,
-    random_frames,
-    verify_properties,
-)
-from .matcher import deficient_rows, greedy_match, oracle_match, validate
+from .framematrix import build_matrix, load_frame, random_frames
+from .matcher import deficient_rows, greedy_match, validate
 from .modelgeom import (
     ModelSpace,
-    exact_commutator,
-    diagonal_exact,
     min_bracket_gain,
     pipeline_flat,
     pipeline_perturbed,
-    q_subspace,
     random_perturbation_case,
-    rotation_generator_exact,
     sample_ratio,
-    stabilizer_generators,
-    stabilizer_rotation,
-    symmetric_pair_exact,
-    trace_inner,
 )
 from .rootdata import Root, catalogue, space as lookup_space
 
@@ -207,10 +194,12 @@ def _load_matrix_file(path: str) -> list[list[int]]:
     entries = data["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise FrameFileError("entries must be a list of rows")
-    if "rows" in data and len(entries) != data["rows"]:
-        raise FrameFileError("rows field does not match entries")
-    if "cols" in data and any(len(r) != data["cols"] for r in entries):
-        raise FrameFileError("cols field does not match entries")
+    if "rows" in data and (type(data["rows"]) is not int or len(entries) != data["rows"]):
+        raise FrameFileError("rows field must be the JSON integer count of rows")
+    if "cols" in data and (
+        type(data["cols"]) is not int or any(len(r) != data["cols"] for r in entries)
+    ):
+        raise FrameFileError("cols field must be the JSON integer length of every row")
     if any(type(x) is not int or x not in (0, 1) for r in entries for x in r):
         raise MalformedMatrixError("matrix entries must be the JSON integers 0 or 1")
     return entries
@@ -354,24 +343,18 @@ def cmd_verify(args) -> tuple[int, str]:
         per = pipeline_perturbed(model, pframe, u, eps)
         gram_by_eps[f"{eps:g}"] = per.gram_deviation
         quotients.append(per.gram_deviation / eps)
-    slope = max(quotients) if quotients else 0.0
-    spread = (
-        max(quotients) / min(quotients)
-        if quotients and min(quotients) > 0
-        else float("inf")
-    )
+    slope = max(quotients)
+    spread = max(quotients) / min(quotients) if min(quotients) > 0 else float("inf")
 
     gains = [min_bracket_gain(model, v) for v in flat.snapped_frame]
 
-    checks = {
+    verdicts = {
         "flat_gram_below_cap": flat.gram_deviation <= 1e-12,
         "ratio_finite": all(np.isfinite(r) for r in ratio_by_seed),
-        "ratio_seed_spread_within_2x": (
-            max(ratio_by_seed) <= 2.0 * min(ratio_by_seed) if ratio_by_seed else True
-        ),
+        "ratio_seed_spread_within_2x": max(ratio_by_seed) <= 2.0 * min(ratio_by_seed),
         "eps_scaling_spread_within_10x": spread <= 10.0,
     }
-    passed = all(checks.values())
+    passed = all(verdicts.values())
     obj = {
         "subcommand": "verify",
         "version": __version__,
@@ -395,7 +378,7 @@ def cmd_verify(args) -> tuple[int, str]:
         "linear_slope_estimate": slope,
         "quotient_spread": spread,
         "min_bracket_gain": gains,
-        "checks": checks,
+        "checks": verdicts,
         "passed": passed,
     }
     if args.json:
@@ -408,7 +391,7 @@ def cmd_verify(args) -> tuple[int, str]:
     for eps, dev in gram_by_eps.items():
         lines.append(f"  gram deviation @ eps={eps}: {dev:.3e}")
     lines.append(f"  linear slope estimate: {slope:.4f}  spread {spread:.3f}")
-    for name, ok in checks.items():
+    for name, ok in verdicts.items():
         lines.append(f"  {name}: {'ok' if ok else 'FAIL'}")
     lines.append("PASS" if passed else "FAIL")
     return (0 if passed else 1), "\n".join(lines) + "\n"
@@ -418,162 +401,16 @@ def cmd_verify(args) -> tuple[int, str]:
 # all
 
 
-def _sweep_checks(args):
-    seeds = args.seeds
-    _check_epsilons(args.epsilon, ModelSpace(4))
-    checks: list[tuple[str, bool, str]] = []
-
-    ok = True
-    detail = ""
-    for s in catalogue():
-        total = s.rootsys.total_multiplicity
-        bound = s.rank * (s.rank + 1) // 2
-        if s.dim_x != s.rank + total or s.dim_k != s.dim_m + total:
-            ok, detail = False, f"{s.name}: dimension identity"
-            break
-        if s.columns < bound or (s.columns == bound) != s.name.startswith("SL("):
-            ok, detail = False, f"{s.name}: column bound"
-            break
-    checks.append(("catalogue_identities", ok, detail))
-
-    ok = True
-    detail = ""
-    for s in catalogue():
-        if s.excluded or not 2 <= s.rank <= 8:
-            continue
-        report = verify_codim_bounds(s)
-        if not report.passed:
-            ok, detail = False, f"{s.name}: bound violated"
-            break
-    checks.append(("codim_bounds_rank_2_to_8", ok, detail))
-
-    ok = True
-    detail = ""
-    frames_checked = 0
-    for s in catalogue():
-        if s.excluded or not 2 <= s.rank <= 6:
-            continue
-        for frame in random_frames(s, args.fuzz_count, seed=seeds[0]):
-            matrix = build_matrix(frame)
-            report = verify_properties(matrix, s)
-            if not report.passed:
-                ok, detail = False, f"{s.name}: properties failed: {report.witnesses}"
-                break
-            try:
-                result, _trace = greedy_match(matrix)
-            except NoMatchingError:
-                ok, detail = False, f"{s.name}: greedy failed"
-                break
-            if not validate(matrix, result) or oracle_match(matrix) is None:
-                ok, detail = False, f"{s.name}: validation or oracle failed"
-                break
-            frames_checked += 1
-        if not ok:
-            break
-    checks.append(("fuzz_properties_and_matching", ok, detail or f"{frames_checked} frames"))
-
-    ok = True
-    detail = ""
-    rng = np.random.default_rng(seeds[0])
-    for n in range(3, 9):
-        t = [Fraction(int(x), int(y)) for x, y in zip(
-            rng.integers(-9, 10, size=n), rng.integers(1, 7, size=n)
-        )]
-        for i in range(n):
-            for j in range(i + 1, n):
-                got = exact_commutator(rotation_generator_exact(n, i, j), diagonal_exact(t))
-                want = [
-                    [(t[j] - t[i]) * x for x in row]
-                    for row in symmetric_pair_exact(n, i, j)
-                ]
-                if got != want:
-                    ok, detail = False, f"bracket identity failed at n={n}"
-                    break
-    checks.append(("bracket_identity_exact", ok, detail))
-
-    ok = True
-    detail = ""
-    for n in (4, 5):
-        model = ModelSpace(n)
-        basis = model.fperp_basis()
-        for a in range(len(basis)):
-            for b in range(len(basis)):
-                expected = 1.0 if a == b else 0.0
-                if abs(trace_inner(basis[a], basis[b]) - expected) > 1e-14:
-                    ok, detail = False, f"Gram deviation at n={n}"
-    checks.append(("fperp_gram_identity", ok, detail))
-
-    ok = True
-    detail = ""
-    for n in (4, 5):
-        model = ModelSpace(n)
-        sl = lookup_space(f"SL({n},R)")
-        rng = np.random.default_rng(seeds[0])
-        full = tuple(range(sl.rank))
-        for face in enumerate_faces(sl):
-            if not face.simple_subset or face.simple_subset == full:
-                continue
-            v = face.witness
-            qs = q_subspace(model, v)
-            gens = stabilizer_generators(model, v)
-            for _ in range(10):
-                coeffs = rng.uniform(-2, 2, size=len(gens))
-                h = stabilizer_rotation(model, v, coeffs)
-                for bmat in qs:
-                    moved = h @ bmat @ h.T
-                    flat_part = np.linalg.norm(np.einsum("ii->i", moved))
-                    if np.arcsin(min(1.0, flat_part)) > 1e-9:
-                        ok, detail = False, f"zero-case failed at n={n}"
-    checks.append(("stabilizer_zero_case", ok, detail))
-
-    model = ModelSpace(4)
-    v = (1, 1, 1, -3)
-    b = model.b_matrix(0, 3)
-    estimates = [sample_ratio(model, v, b, args.samples, s).max_ratio for s in seeds]
-    ok = (
-        all(np.isfinite(estimates))
-        and max(estimates) <= 2.0 * min(estimates)
-    )
-    checks.append(
-        ("ratio_stability", ok, f"estimates {['%.3f' % e for e in estimates]}")
-    )
-
-    epsilons = args.epsilon
-    ok = True
-    detail = ""
-    for s in seeds[:3]:
-        frame, u = random_perturbation_case(model, s)
-        quots = [
-            pipeline_perturbed(model, frame, u, eps).gram_deviation / eps
-            for eps in epsilons
-        ]
-        if min(quots) <= 0 or max(quots) / min(quots) > 10.0:
-            ok, detail = False, f"eps scaling spread too wide on seed {s}"
-            break
-    checks.append(("eps_linear_scaling", ok, detail))
-
-    ok = True
-    detail = ""
-    for n in (4, 5):
-        model_n = ModelSpace(n)
-        sl = lookup_space(f"SL({n},R)")
-        for frame in random_frames(sl, 25, seed=seeds[0]):
-            out = pipeline_flat(model_n, frame.vectors)
-            if out.gram_deviation > 1e-12:
-                ok, detail = False, f"flat pipeline gram {out.gram_deviation} at n={n}"
-                break
-            if len(out.members()) != 2 * sl.rank:
-                ok, detail = False, f"flat pipeline count at n={n}"
-                break
-        if not ok:
-            break
-    checks.append(("flat_pipeline", ok, detail))
-    return checks
-
-
 def cmd_all(args) -> tuple[int, str]:
-    checks = _sweep_checks(args)
-    passed = all(ok for _name, ok, _detail in checks)
+    _check_epsilons(args.epsilon, ModelSpace(4))
+    inputs = checks.Inputs(args.fuzz_count, args.samples, tuple(args.seeds), tuple(args.epsilon))
+    results = []
+    for check in checks.ALL:
+        try:
+            results.append((check.__name__, True, check(inputs)))
+        except CheckFailedError as exc:
+            results.append((check.__name__, False, str(exc)))
+    passed = all(ok for _name, ok, _detail in results)
     obj = {
         "subcommand": "all",
         "version": __version__,
@@ -587,15 +424,13 @@ def cmd_all(args) -> tuple[int, str]:
         ),
         "checks": [
             {"name": name, "passed": ok, "detail": detail}
-            for name, ok, detail in checks
+            for name, ok, detail in results
         ],
         "passed": passed,
     }
     if args.json:
         return (0 if passed else 1), _json_report(obj)
-    lines = []
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})" for name, ok, detail in results]
     lines.append("PASS" if passed else "FAIL")
     return (0 if passed else 1), "\n".join(lines) + "\n"
 

@@ -73,3 +73,7 @@ class MatchFailedError(RootmatchError):
 
 class FrameFileError(RootmatchError):
     """Frame file is missing, unreadable, or not rational vectors."""
+
+
+class CheckFailedError(RootmatchError):
+    """An acceptance check found a counterexample; the message is the failing detail."""

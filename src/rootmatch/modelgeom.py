@@ -112,14 +112,12 @@ def diagonal_exact(t: Sequence[Rat]) -> list[list[Fraction]]:
 def exact_commutator(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]):
     """[a, b] = ab - ba over exact rationals."""
     n = len(a)
+    a = [[Fraction(x) for x in row] for row in a]
+    b = [[Fraction(x) for x in row] for row in b]
     out = exact_zero_matrix(n)
     for i in range(n):
         for j in range(n):
-            out[i][j] = sum(
-                Fraction(a[i][k]) * Fraction(b[k][j])
-                - Fraction(b[i][k]) * Fraction(a[k][j])
-                for k in range(n)
-            )
+            out[i][j] = sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
     return out
 
 

@@ -224,6 +224,23 @@ class SpaceDescriptor:
         return dict(self.params)[key]
 
 
+def dimension_errors(space: SpaceDescriptor) -> list[str]:
+    """The dimension identities and column bound that ``space`` breaks, one message each."""
+    name = space.name
+    total = space.rootsys.total_multiplicity
+    bound = space.rank * (space.rank + 1) // 2
+    errors = []
+    if space.dim_x != space.rank + total:
+        errors.append(f"{name}: dim X != rank + sum of multiplicities")
+    if space.dim_k != space.dim_m + total:
+        errors.append(f"{name}: dim K != dim M + sum of multiplicities")
+    if space.columns < bound:
+        errors.append(f"{name}: column count below n(n+1)/2")
+    if (space.columns == bound) != name.startswith("SL("):
+        errors.append(f"{name}: column-count equality must single out SL(n+1,R)")
+    return errors
+
+
 def _descriptor(name, rootsys, dim_x, dim_k, dim_m, ktype, excluded, params):
     space = SpaceDescriptor(
         name=name,
@@ -236,17 +253,9 @@ def _descriptor(name, rootsys, dim_x, dim_k, dim_m, ktype, excluded, params):
         excluded=excluded,
         params=tuple(sorted(params.items())),
     )
-    total = rootsys.total_multiplicity
-    if space.dim_x != space.rank + total:
-        raise RuntimeError(f"{name}: dim X != rank + sum of multiplicities")
-    if space.dim_k != space.dim_m + total:
-        raise RuntimeError(f"{name}: dim K != dim M + sum of multiplicities")
-    n = space.rank
-    bound = n * (n + 1) // 2
-    if space.columns < bound:
-        raise RuntimeError(f"{name}: column count below n(n+1)/2")
-    if (space.columns == bound) != name.startswith("SL("):
-        raise RuntimeError(f"{name}: column-count equality must single out SL(n+1,R)")
+    errors = dimension_errors(space)
+    if errors:
+        raise RuntimeError("; ".join(errors))
     return space
 
 

@@ -1,288 +1,74 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
-Each test prints one PASS line (visible with ``pytest -s`` or in the
-captured output) and enforces its runtime budget.  Criteria 3 and 4
-share one fuzz corpus, built once per session.
+Each criterion is a check in ``rootmatch.checks``, run here on the
+defaults of ``rootmatch all``.  Each test prints one PASS line with the
+check's evidence (visible with ``pytest -s`` or in the captured output)
+and enforces its runtime budget.  Criterion 3's check also runs the
+matching of criterion 4 on the fuzz corpus, in the same pass.
 """
 
-import itertools
 import time
-from fractions import Fraction
 
-import numpy as np
-import pytest
-from scipy.linalg import expm
+from rootmatch import checks
 
-from rootmatch.chamber import enumerate_faces, verify_codim_bounds
-from rootmatch.errors import NoMatchingError
-from rootmatch.framematrix import build_matrix, make_frame, random_frames, verify_properties
-from rootmatch.matcher import greedy_match, oracle_match, validate
-from rootmatch.modelgeom import (
-    ModelSpace,
-    diagonal_exact,
-    exact_commutator,
-    pipeline_flat,
-    pipeline_perturbed,
-    q_subspace,
-    random_perturbation_case,
-    rotation_generator_exact,
-    sample_ratio,
-    stabilizer_generators,
-    symmetric_pair_exact,
-    trace_inner,
-)
-from rootmatch.rootdata import KTYPE_SO_PAIR, catalogue, space
-
-FUZZ_PER_SPACE = 1000
-CORPUS_SEED = 1
+INPUTS = checks.Inputs()
 
 
-def _report(number: int, elapsed: float, budget: float, description: str):
-    print(f"ACCEPTANCE {number}: PASS ({elapsed:.1f}s / budget {budget:.0f}s) {description}")
+def _run(number: int, budget: float, *criterion) -> None:
+    start = time.time()
+    evidence = "; ".join(check(INPUTS) for check in criterion)
+    elapsed = time.time() - start
+    print(f"ACCEPTANCE {number}: PASS ({elapsed:.1f}s / budget {budget:.0f}s) {evidence}")
     assert elapsed < budget, f"criterion {number} exceeded its runtime budget"
 
 
-@pytest.fixture(scope="session")
-def fuzz_corpus():
-    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
-    corpus = []
-    for s in spaces:
-        matrices = [
-            build_matrix(frame)
-            for frame in random_frames(s, FUZZ_PER_SPACE, seed=CORPUS_SEED)
-        ]
-        corpus.append((s, matrices))
-    return corpus
-
-
 def test_criterion_1_catalogue_identities():
-    start = time.time()
-    for s in catalogue():
-        total = s.rootsys.total_multiplicity
-        assert s.dim_x == s.rank + total, s.name
-        assert s.dim_k == s.dim_m + total, s.name
-        bound = s.rank * (s.rank + 1) // 2
-        assert s.columns >= bound, s.name
-        assert (s.columns == bound) == s.name.startswith("SL("), s.name
-    _report(1, time.time() - start, 1.0, "catalogue dimension identities and column bound")
+    _run(1, 1.0, checks.catalogue_identities)
 
 
 def test_criterion_2_codimension_bounds():
-    start = time.time()
-    for s in catalogue():
-        if s.excluded:
-            continue
-        assert 2 <= s.rank <= 8
-        report = verify_codim_bounds(s)
-        assert report.passed, s.name
-        n = s.rank
-        if s.name.startswith("SL("):
-            walls = {e.simple_subset for e in report.faces_at_rank}
-            assert walls == {tuple(range(n - 1)), tuple(range(1, n))}, s.name
-        elif s.ktype == KTYPE_SO_PAIR:
-            assert report.min_codim == 2 * n - 2 + s.param("r"), s.name
-        else:
-            assert report.min_codim >= 2 * n - 1, s.name
-    _report(2, time.time() - start, 5.0, "stabilizer codimension bounds, rank 2..8")
+    _run(2, 5.0, checks.codim_bounds_rank_2_to_8)
 
 
-def test_criterion_3_matrix_properties(fuzz_corpus):
-    start = time.time()
-    checked = 0
-    singular_frames = 0
-    equal_row_pairs = 0
-    for s, matrices in fuzz_corpus:
-        assert len(matrices) >= 1000
-        regular_weight = s.dim_x - s.rank
-        for matrix in matrices:
-            report = verify_properties(matrix, s)
-            assert report.passed, (s.name, report.witnesses)
-            checked += 1
-            equal_row_pairs += len(report.equal_row_pairs)
-            if any(w < regular_weight for w in matrix.row_weights):
-                singular_frames += 1
-    assert singular_frames > checked // 10, "face-snapped frames must be present"
-    _report(
-        3,
-        time.time() - start,
-        120.0,
-        f"five matrix properties on {checked} spanning frames "
-        f"({singular_frames} singular, {equal_row_pairs} equal-row pairs flagged)",
-    )
+def test_criterion_3_matrix_properties():
+    _run(3, 120.0, checks.fuzz_properties_and_matching)
 
 
-def test_criterion_4_two_per_row_matching(fuzz_corpus):
-    start = time.time()
-    matched = 0
-    for s, matrices in fuzz_corpus:
-        for matrix in matrices:
-            result, _trace = greedy_match(matrix)
-            assert validate(matrix, result), s.name
-            assert oracle_match(matrix) is not None, s.name
-            matched += 1
-
-    rng = np.random.default_rng(99)
-    greedy_hits = 0
-    for _ in range(1000):
-        rows = int(rng.integers(2, 7))
-        cols = int(rng.integers(2, 18))
-        matrix = (rng.random((rows, cols)) < rng.uniform(0.15, 0.95)).astype(int).tolist()
-        try:
-            result, _trace = greedy_match(matrix)
-        except NoMatchingError:
-            continue
-        greedy_hits += 1
-        assert validate(matrix, result)
-        assert oracle_match(matrix) is not None
-    assert greedy_hits > 100
-    _report(
-        4,
-        time.time() - start,
-        120.0,
-        f"matching on {matched} corpus matrices plus {greedy_hits} unconstrained successes",
-    )
+def test_criterion_4_two_per_row_matching():
+    _run(4, 120.0, checks.unconstrained_matching)
 
 
 def test_criterion_5_hand_derived_instance():
-    start = time.time()
-    sl4 = space("SL(4,R)")
-    frame = make_frame(sl4, [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
-    matrix = build_matrix(frame)
-    assert matrix.entries == (
-        (0, 0, 1, 0, 1, 1),
-        (1, 1, 1, 0, 0, 0),
-        (1, 0, 1, 1, 0, 1),
-    )
-    assert verify_properties(matrix, sl4).passed
-    result, trace = greedy_match(matrix)
-    labels = [
-        ["".join(str(i + 1) for i in matrix.col_labels[c][0].support) for c in pair]
-        for pair in result.pairs
-    ]
-    assert labels == [["14", "24"], ["12", "13"], ["23", "34"]]
-    assert [s.top_row for s in trace.stages] == [0, 1, 2]
-    assert [s.chosen for s in trace.stages] == [(2, 4), (0, 1), (3, 5)]
-    assert trace.repairs == ()
-    _report(5, time.time() - start, 5.0, "hand-derived SL(4,R) instance, exact trace")
+    _run(5, 5.0, checks.hand_derived_instance)
 
 
 def test_criterion_6_model_algebra():
-    start = time.time()
-    rng = np.random.default_rng(6)
-    for n in range(3, 9):
-        t = [
-            Fraction(int(p), int(q))
-            for p, q in zip(rng.integers(-9, 10, size=n), rng.integers(1, 7, size=n))
-        ]
-        for i, j in itertools.combinations(range(n), 2):
-            got = exact_commutator(rotation_generator_exact(n, i, j), diagonal_exact(t))
-            want = [
-                [(t[j] - t[i]) * x for x in row]
-                for row in symmetric_pair_exact(n, i, j)
-            ]
-            assert got == want
-        model = ModelSpace(n)
-        basis = model.fperp_basis()
-        assert len(basis) == space(f"SL({n},R)").columns
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                expected = 1.0 if a == b else 0.0
-                assert abs(trace_inner(basis[a], basis[b]) - expected) <= 1e-14
-    _report(6, time.time() - start, 1.0, "bracket identity, Gram identity, basis count, n=3..8")
+    _run(6, 1.0, checks.bracket_identity_exact, checks.fperp_gram_identity)
 
 
 def test_criterion_7_zero_case():
-    start = time.time()
-    rng = np.random.default_rng(7)
-    checked = 0
-    for n in (4, 5):
-        model = ModelSpace(n)
-        sl = space(f"SL({n},R)")
-        full = tuple(range(sl.rank))
-        for face in enumerate_faces(sl):
-            if not face.simple_subset or face.simple_subset == full:
-                continue
-            v = face.witness
-            basis = q_subspace(model, v)
-            gens = stabilizer_generators(model, v)
-            assert gens
-            for _ in range(50):
-                coeffs = rng.uniform(-2.0, 2.0, size=len(gens))
-                h = expm(sum(c * g for c, g in zip(coeffs, gens)))
-                for b in basis:
-                    moved = h @ b @ h.T
-                    angle = np.arcsin(min(1.0, float(np.linalg.norm(np.diag(moved)))))
-                    assert angle <= 1e-9
-                    checked += 1
-    _report(7, time.time() - start, 30.0, f"stabilizer rotations keep Q_v in Fperp ({checked} checks)")
+    _run(7, 30.0, checks.stabilizer_zero_case)
 
 
 def test_criterion_8_ratio_stability():
-    start = time.time()
-    model = ModelSpace(4)
-    v = (1, 1, 1, -3)
-    b = model.b_matrix(0, 3)
-    seeds = (1, 2, 3, 4, 5)
-    small = []
-    big = []
-    for seed in seeds:
-        e4 = sample_ratio(model, v, b, 10_000, seed)
-        e5 = sample_ratio(model, v, b, 100_000, seed)
-        assert np.isfinite(e4.max_ratio) and e4.max_ratio > 0
-        assert e5.max_ratio >= e4.max_ratio  # nondecreasing in the sample count
-        assert e5.max_ratio < 2.0 * e4.max_ratio
-        small.append(e4.max_ratio)
-        big.append(e5.max_ratio)
-    assert max(small) < 2.0 * min(small)
-    _report(
-        8,
-        time.time() - start,
-        300.0,
-        f"ratio finite and stable: 1e4 range [{min(small):.3f}, {max(small):.3f}], 1e5 max {max(big):.3f}",
-    )
+    # 100,000 samples per seed cost a third of `rootmatch all`, so this
+    # comparison runs here only.
+    def against_100k_samples(inputs):
+        big = []
+        for seed in inputs.seeds:
+            e4 = checks.ratio_estimate(inputs.samples, seed).max_ratio
+            e5 = checks.ratio_estimate(100_000, seed).max_ratio
+            assert e5 >= e4  # nondecreasing in the sample count
+            assert e5 < 2.0 * e4
+            big.append(e5)
+        return f"1e5 max {max(big):.3f}"
+
+    _run(8, 300.0, checks.ratio_stability, against_100k_samples)
 
 
 def test_criterion_9_flat_pipeline():
-    start = time.time()
-    for n in (4, 5, 6):
-        model = ModelSpace(n)
-        sl = space(f"SL({n},R)")
-        flat_basis = model.flat_basis()
-        frames = random_frames(sl, 30, seed=9)
-        weights = set()
-        for frame in frames:
-            out = pipeline_flat(model, frame.vectors)
-            members = out.members()
-            assert len(members) == 2 * sl.rank
-            assert len({id(m) for m in members}) == 2 * sl.rank
-            assert out.gram_deviation <= 1e-12
-            for member in members:
-                assert abs(trace_inner(member, member) - 1.0) <= 1e-12
-                for f in flat_basis:
-                    assert abs(trace_inner(member, f)) <= 1e-12
-            weights.add(min(build_matrix(frame).row_weights))
-        assert len(weights) > 1, "both regular and singular frames must occur"
-    _report(9, time.time() - start, 60.0, "flat pipeline: 2k orthonormal members, all perp to the flat")
+    _run(9, 60.0, checks.flat_pipeline)
 
 
 def test_criterion_10_eps_scaling():
-    start = time.time()
-    model = ModelSpace(4)
-    epsilons = (1e-2, 1e-3, 1e-4)
-    spreads = []
-    for seed in range(1, 11):
-        frame, u = random_perturbation_case(model, seed)
-        quotients = [
-            pipeline_perturbed(model, frame, u, eps).gram_deviation / eps
-            for eps in epsilons
-        ]
-        assert min(quotients) > 0
-        spread = max(quotients) / min(quotients)
-        spreads.append(spread)
-        assert spread <= 10.0, (seed, quotients)
-    _report(
-        10,
-        time.time() - start,
-        300.0,
-        f"gram deviation scales linearly in eps (worst quotient spread {max(spreads):.2f})",
-    )
+    _run(10, 300.0, checks.eps_linear_scaling)

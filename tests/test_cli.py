@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import rootmatch
+from rootmatch import checks
 from rootmatch.cli import main
+from rootmatch.errors import CheckFailedError
 
 WALL_FRAME = '[["1","1","1","-3"],["-3","1","1","1"],["1","-1","1","-1"]]'
 
@@ -213,10 +215,18 @@ def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
     assert payload["pairs"] == [[2, 4], [3, 6], [1, 5]]
 
 
-@pytest.mark.parametrize("entry", [1.7, 1.0, True, "1", None, 2, -1])
-def test_match_rejects_non_binary_entries(tmp_path, capsys, entry):
+NON_BINARY = [1.7, 1.0, True, "1", None, 2, -1]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [{"entries": [[1, 1, 0, 0], [0, 0, 1, x]]} for x in NON_BINARY]
+    + [{"entries": [[1, 1, 1]], "rows": True}, {"entries": [[1, 1, 1]], "cols": 3.0}],
+    ids=[str(x) for x in NON_BINARY] + ["rows_true", "cols_3.0"],
+)
+def test_match_rejects_non_binary_entries(tmp_path, capsys, document):
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps({"entries": [[1, 1, 0, 0], [0, 0, 1, entry]]}))
+    matrix.write_text(json.dumps(document))
     code, out, err = run(capsys, "match", "--input", str(matrix))
     assert code == 2
     assert out == ""
@@ -333,7 +343,8 @@ def test_all_quick_sweep(capsys):
     assert code == 0, out
     payload = json.loads(out)
     assert payload["passed"] is True
-    names = {c["name"] for c in payload["checks"]}
+    names = [c["name"] for c in payload["checks"]]
+    assert names == [check.__name__ for check in checks.ALL]
     assert {
         "catalogue_identities",
         "codim_bounds_rank_2_to_8",
@@ -344,7 +355,30 @@ def test_all_quick_sweep(capsys):
         "ratio_stability",
         "eps_linear_scaling",
         "flat_pipeline",
-    } <= names
+    } <= set(names)
+
+
+def test_all_reports_a_failing_check_and_runs_the_rest(monkeypatch, capsys):
+    seen = []
+
+    def passing(inputs):
+        seen.append(inputs)
+        return "evidence"
+
+    def planted(inputs):
+        raise CheckFailedError("planted counterexample")
+
+    monkeypatch.setattr(checks, "ALL", (planted, passing))
+    code, out, _err = run(capsys, "all", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"] == [
+        {"name": "planted", "passed": False, "detail": "planted counterexample"},
+        {"name": "passing", "passed": True, "detail": "evidence"},
+    ]
+    # the defaults of `all` are the inputs the acceptance suite runs on
+    assert seen == [checks.Inputs()]
 
 
 def test_import_does_not_load_scipy():

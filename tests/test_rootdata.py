@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from rootmatch.rootdata import (
     RootSystem,
     build_root_system,
     catalogue,
+    dimension_errors,
     evaluate_root,
     space,
 )
@@ -141,6 +143,21 @@ def test_column_bound_equality_only_for_sl():
         bound = s.rank * (s.rank + 1) // 2
         assert s.columns >= bound, s.name
         assert (s.columns == bound) == s.name.startswith("SL("), s.name
+
+
+def test_dimension_errors_name_each_broken_identity():
+    sl4 = space("SL(4,R)")
+    assert dimension_errors(sl4) == []
+    for broken, message in (
+        (replace(sl4, dim_x=10), "SL(4,R): dim X != rank + sum of multiplicities"),
+        (replace(sl4, dim_k=7), "SL(4,R): dim K != dim M + sum of multiplicities"),
+        (replace(sl4, dim_x=8), "SL(4,R): column count below n(n+1)/2"),
+        (
+            replace(sl4, name="PGL(4,R)"),
+            "PGL(4,R): column-count equality must single out SL(n+1,R)",
+        ),
+    ):
+        assert message in dimension_errors(broken)
 
 
 def test_catalogue_extent():
