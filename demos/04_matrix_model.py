@@ -42,13 +42,14 @@ print()
 v = (1, 1, 1, -3)
 print("flat vector", v)
 print("  Q_v has", len(q_subspace(model, v)), "basis vectors")
-print("  stabilizer has", len(stabilizer_generators(model, v)), "generators")
+gens = stabilizer_generators(model, v)
+print("  stabilizer has", len(gens), "generators")
 
 # Stabilizer rotations keep Q_v inside the complement of the flat: the
 # degenerate case of the ratio inequality, checked directly.
 worst = 0.0
-for coeffs in 1.3 * np.eye(len(stabilizer_generators(model, v))):
-    h = stabilizer_rotation(model, v, coeffs)  # exp(1.3 k) of one generator k
+for coeffs in 1.3 * np.eye(len(gens)):
+    h = stabilizer_rotation(model, gens, coeffs)  # exp(1.3 k) of one generator k
     for b in q_subspace(model, v):
         moved = h @ b @ h.T
         worst = max(worst, float(np.linalg.norm(np.diag(moved))))

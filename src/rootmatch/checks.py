@@ -222,7 +222,7 @@ def stabilizer_zero_case(inputs: Inputs) -> str:
             if not gens:
                 raise CheckFailedError(f"n={n} face {face.simple_subset}: no stabilizer")
             for _ in range(50):
-                h = stabilizer_rotation(model, v, rng.uniform(-2.0, 2.0, size=len(gens)))
+                h = stabilizer_rotation(model, gens, rng.uniform(-2.0, 2.0, size=len(gens)))
                 for b in basis:
                     moved = h @ b @ h.T
                     angle = np.arcsin(min(1.0, float(np.linalg.norm(np.diag(moved)))))

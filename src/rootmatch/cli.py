@@ -187,7 +187,7 @@ def _load_matrix_file(path: str) -> list[list[int]]:
             data = json.load(fh)
     except OSError as exc:
         raise FrameFileError(f"cannot read matrix file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and numbers past int's digit limit
         raise FrameFileError(f"matrix file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "entries" not in data:
         raise FrameFileError('matrix file must be an object with an "entries" key')
@@ -279,6 +279,10 @@ def _comma_list(text: str, convert, accept, what: str) -> _ListArg:
         values = []
     if not values or not all(accept(x) for x in values):
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    if len(set(values)) < 2:  # the spread checks compare values with each other
+        raise argparse.ArgumentTypeError(
+            f"expected at least two distinct values to take a spread over, got {text!r}"
+        )
     return _ListArg(text, values)
 
 

@@ -20,22 +20,27 @@ def dot(x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
     return sum(a * b for a, b in zip(x, y))
 
 
-def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank is unchanged).
+_INT = {int}
+
+
+def integer_row(row: Sequence[Rat]) -> list[int]:
+    """Scale a row by the lcm of its denominators: an integer row on the same ray.
 
     ints and Fractions are scaled through their numerator and
     denominator; any other rational goes through ``Fraction(x)`` first.
     Entries come out as Python ints, also where a numerator is a numpy
     integer, which would wrap around in the elimination.
     """
-    if {type(x) for row in rows for x in row} <= {int}:
-        return [list(row) for row in rows]
-    out = []
-    for row in rows:
-        fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs))
-        out.append([int(f.numerator) * (scale // f.denominator) for f in fracs])
-    return out
+    if set(map(type, row)) <= _INT:
+        return list(row)
+    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [int(f.numerator) * (scale // f.denominator) for f in fracs]
+
+
+def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
+    """``integer_row`` of each row (the rank is unchanged)."""
+    return [integer_row(row) for row in rows]
 
 
 def exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
@@ -121,7 +126,7 @@ def solve_unique_many(
 
 def primitive_integer(vec: Sequence[Rat]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    ints = integer_rows([vec])[0]
+    ints = integer_row(vec)
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
 

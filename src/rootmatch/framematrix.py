@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -28,28 +29,43 @@ from .errors import (
     RootmatchError,
     ZeroVectorError,
 )
-from .exact import Rat, exact_rank, integer_rows
-from .rootdata import (
-    KTYPE_SO,
-    Root,
-    RootSystem,
-    SpaceDescriptor,
-    is_traceless,
-)
+from .exact import Rat, exact_rank, integer_row
+from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor
 
 Vector = tuple[Rat, ...]
 
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """A frame of k <= rank exact vectors in the flat of a space."""
+    """A frame of k <= rank exact vectors in the flat of a space.
+
+    ``integer_vectors`` is each vector scaled to an integer vector on the
+    same ray (``exact.integer_row``), the one form the checks and
+    ``build_matrix`` read.  ``make_frame`` and ``random_frames`` fill it
+    as they build the frame; a frame made any other way, such as by
+    ``dataclasses.replace``, computes it on first read.
+    """
 
     vectors: tuple[Vector, ...]
     space: SpaceDescriptor
     spanning: bool
 
+    @functools.cached_property
+    def integer_vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(integer_row(v)) for v in self.vectors)
+
+
+_EXACT = {int, Fraction}
+
 
 def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> FrameSpec:
+    """A checked frame.  Vector by vector: its length, then that it is
+    nonzero, then (A family) that it sums to zero; then whether the frame
+    spans.  A vector of ints and Fractions is scaled to integers first and
+    the checks read that row.  Other entries (floats, numpy integers, ...)
+    are converted only by the first check that needs them, the trace
+    check or the rank, so a float nan raises where it always has.
+    """
     vecs = tuple(tuple(v) for v in vectors)
     if not vecs:
         raise EmptyFrameError("a frame needs at least one vector")
@@ -57,17 +73,29 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
         raise InvalidParamsError(
             f"frame has {len(vecs)} vectors but the rank is {space.rank}"
         )
+    traceless = space.rootsys.family == "A"
+    rows: list[Optional[list[int]]] = []
     for v in vecs:
         if len(v) != space.coord_dim:
             raise DimensionMismatchError(
                 f"frame vector length {len(v)} != coordinate dimension {space.coord_dim}"
             )
-        if not any(x != 0 for x in v):
+        row = integer_row(v) if set(map(type, v)) <= _EXACT else None
+        if not (any(row) if row is not None else any(x != 0 for x in v)):
             raise ZeroVectorError("frame vectors must be nonzero")
-        if space.rootsys.family == "A" and not is_traceless(v):
-            raise NotInFlatError("A-family frame vectors must have zero coordinate sum")
-    spanning = exact_rank(vecs) == min(len(vecs), space.rank)
-    return FrameSpec(vectors=vecs, space=space, spanning=spanning)
+        if traceless:
+            if row is None:
+                row = integer_row(v)
+            if sum(row):
+                raise NotInFlatError("A-family frame vectors must have zero coordinate sum")
+        rows.append(row)
+    ints = tuple(
+        tuple(integer_row(v) if row is None else row) for v, row in zip(vecs, rows)
+    )
+    spanning = exact_rank(ints) == min(len(vecs), space.rank)
+    frame = FrameSpec(vectors=vecs, space=space, spanning=spanning)
+    frame.__dict__["integer_vectors"] = ints  # fills the cached property
+    return frame
 
 
 class _Entries:
@@ -159,12 +187,12 @@ class SelectionMatrix:
 def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     """Build the selection matrix of a frame.
 
-    Each frame vector is first scaled to an integer vector on the same
-    ray, which keeps every root's zero pattern.  Every root vanishes
-    exactly on one coordinate equality (v_i = v_j, v_i = -v_j or
-    v_i = 0), so a row is the full mask less the masks of the roots
-    whose equality the vector meets, found by grouping its coordinates
-    by value.
+    Each frame vector is read as its integer vector on the same ray
+    (``frame.integer_vectors``), which keeps every root's zero pattern.
+    Every root vanishes exactly on one coordinate equality (v_i = v_j,
+    v_i = -v_j or v_i = 0), so a row is the full mask less the masks of
+    the roots whose equality the vector meets, found by grouping its
+    coordinates by value.
     """
     space = frame.space
     rootsys = space.rootsys
@@ -172,7 +200,7 @@ def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     labels = rootsys.column_labels
     full = (1 << len(labels)) - 1
     masks = []
-    for row in integer_rows(frame.vectors):
+    for row in frame.integer_vectors:
         at: dict[int, list[int]] = {}  # coordinate value -> indices so far
         vanishing = 0
         for i, x in enumerate(row):
@@ -473,13 +501,10 @@ def random_frames(
             if rejected >= max_attempts:
                 raise RuntimeError(f"could not sample a spanning frame for {space.name}")
             if spans or exact_rank(vectors) == k:
-                frames.append(
-                    FrameSpec(
-                        vectors=tuple(tuple(v) for v in vectors),
-                        space=space,
-                        spanning=True,
-                    )
-                )
+                vecs = tuple(tuple(v) for v in vectors)
+                frame = FrameSpec(vectors=vecs, space=space, spanning=True)
+                frame.__dict__["integer_vectors"] = vecs  # drawn as ints
+                frames.append(frame)
                 rejected = 0
                 if len(frames) == count:
                     break
@@ -491,11 +516,26 @@ def random_frames(
 # ---------------------------------------------------------------------------
 # Frame files: JSON array of arrays of rational strings.
 
+# An entry's text that is a plain integer or integer ratio in ASCII
+# digits; Fraction(text) would build the same value from the same int()
+# parts, after a longer regex.  Every other text goes to Fraction(text),
+# which defines the accepted grammar.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(entry) -> Fraction:
+    text = str(entry)
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain is None:
+        return Fraction(text)
+    num, den = plain.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
 
 def parse_frame_vectors(text: str) -> list[tuple[Fraction, ...]]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also numbers past int's digit limit
         raise FrameFileError(f"frame file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise FrameFileError("frame file must be a nonempty JSON array of vectors")
@@ -504,7 +544,7 @@ def parse_frame_vectors(text: str) -> list[tuple[Fraction, ...]]:
         if not isinstance(row, list):
             raise FrameFileError("each frame vector must be a JSON array")
         try:
-            vectors.append(tuple(Fraction(str(x)) for x in row))
+            vectors.append(tuple(map(_rational, row)))
         except (ValueError, ZeroDivisionError) as exc:
             raise FrameFileError(f"bad rational entry in frame file: {exc}") from exc
     return vectors
@@ -514,7 +554,7 @@ def load_frame(path: str, space: SpaceDescriptor) -> FrameSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FrameFileError(f"cannot read frame file {path!r}: {exc}") from exc
     vectors = parse_frame_vectors(text)
     try:

@@ -198,15 +198,16 @@ def _exp_skew(a: np.ndarray) -> np.ndarray:
 
 
 def stabilizer_rotation(
-    model: ModelSpace, v: Sequence[Rat], coefficients: Sequence[float]
+    model: ModelSpace, generators: Sequence[np.ndarray], coefficients: Sequence[float]
 ) -> np.ndarray:
-    """exp of a coefficient combination of the stabilizer generators."""
-    gens = stabilizer_generators(model, v)
-    if len(coefficients) != len(gens):
+    """exp of a coefficient combination of the stabilizer generators of a
+    vector, as ``stabilizer_generators(model, v)`` returns them: derived
+    once by the caller for any number of rotations."""
+    if len(coefficients) != len(generators):
         raise InvalidParamsError("one coefficient per stabilizer generator")
-    if not gens:
+    if not generators:
         return np.eye(model.n)
-    return _exp_skew(sum(c * g for c, g in zip(coefficients, gens)))
+    return _exp_skew(sum(c * g for c, g in zip(coefficients, generators)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Integral
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -352,14 +350,3 @@ def space(name: str) -> SpaceDescriptor:
         return _space_map()[name]
     except KeyError:
         raise UnknownSpaceError(f"unknown space {name!r}") from None
-
-
-def is_traceless(v: Sequence[Rat]) -> bool:
-    """Exact zero sum: ints and Fractions are added as they are, other
-    integers (numpy's would wrap around) through ``int``, the rest
-    through ``Fraction``."""
-    return sum(
-        x if type(x) is int or type(x) is Fraction
-        else int(x) if isinstance(x, Integral) else Fraction(x)
-        for x in v
-    ) == 0

@@ -120,6 +120,28 @@ def test_malformed_frame_file_is_config_error(tmp_path, capsys, command, kind):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["matrix", "--space", "SL(4,R)", "--frame"], ["verify", "--n", "4", "--frame"], ["match", "--input"]],
+    ids=["matrix", "verify", "match"],
+)
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe[[1]]", b"[[" + b"1" * 5000 + b",0,0,0]]"],
+    ids=["not_utf8", "digit_limit"],
+)
+def test_unreadable_input_file_is_config_error(tmp_path, capsys, command, content):
+    # bytes that are not UTF-8, and a JSON number past int's 4300-digit
+    # string limit, raise ValueErrors other than JSONDecodeError
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '[["1","-1","0","0"],["2","-2","0","0"],["3","-3","0","0"]]',
@@ -283,6 +305,25 @@ def test_numeric_options_fail_cleanly(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--n", "4", "--seeds", "1"], "--seeds"),
+        (["verify", "--n", "4", "--epsilon", "1e-3"], "--epsilon"),
+        (["all", "--fuzz-count", "5", "--seeds", "1"], "--seeds"),
+        (["all", "--fuzz-count", "5", "--epsilon", "1e-3,0.001"], "--epsilon"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_spread_lists_need_two_distinct_values(capsys, argv, flag):
+    # a spread over one value is 1 whatever the model does: no evidence
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}: expected at least two distinct values" in err
+    assert "Traceback" not in err
+
+
 def test_verify_with_frame_file(tmp_path, capsys):
     frame = tmp_path / "frame.json"
     frame.write_text(WALL_FRAME)
@@ -312,7 +353,7 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _code, out1, _ = run(capsys, *argv)
     _code, out2, _ = run(capsys, *argv)
     assert out1 == out2
-    argv = ["verify", "--n", "4", "--samples", "500", "--seeds", "1", "--json"]
+    argv = ["verify", "--n", "4", "--samples", "500", "--seeds", "1,2", "--json"]
     _code, out1, _ = run(capsys, *argv)
     _code, out2, _ = run(capsys, *argv)
     assert out1 == out2

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import json
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from rootmatch.errors import (
     NotInFlatError,
     ZeroVectorError,
 )
-from rootmatch.exact import exact_rank, primitive_integer
+from rootmatch.exact import exact_rank, integer_rows, primitive_integer
 from rootmatch.framematrix import (
     _P,
     SelectionMatrix,
@@ -535,6 +538,135 @@ def test_parse_frame_vectors():
         parse_frame_vectors("[]")
     with pytest.raises(FrameFileError):
         parse_frame_vectors('[["x"]]')
+
+
+# Entry texts around the plain-rational fast path: signs, spaces, decimal
+# and exponent forms, digit separators, non-ASCII digits, a bad
+# denominator sign, zero denominators, empty parts, and JSON values that
+# are not strings.
+GRAMMAR_CORPUS = [
+    "3/4", "-0", "+3", " 3/4 ", "1.5", "1e-3", "1_0", "\u0663", "3/-4", "3 /4",
+    "1/0", "", "/3", "007", "-12/8", "0/5", "12345678901234567890123/7",
+    1.5, True, None, 42, -7, [1],
+]
+
+
+@pytest.mark.parametrize("entry", GRAMMAR_CORPUS, ids=repr)
+def test_parse_frame_vectors_accepts_what_fraction_accepts(entry):
+    text = json.dumps([[entry]])
+    try:
+        expected = Fraction(str(json.loads(text)[0][0]))
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FrameFileError):
+            parse_frame_vectors(text)
+        return
+    (got,), = parse_frame_vectors(text)
+    assert type(got) is Fraction
+    assert got == expected
+
+
+def _old_is_traceless(v):
+    return sum(
+        x if type(x) is int or type(x) is Fraction
+        else int(x) if isinstance(x, Integral) else Fraction(x)
+        for x in v
+    ) == 0
+
+
+def _old_make_frame(space, vectors):
+    """make_frame's checks before frames were scaled to integers once:
+    the spanning verdict, or the error."""
+    vecs = tuple(tuple(v) for v in vectors)
+    if not vecs:
+        raise EmptyFrameError
+    if len(vecs) > space.rank:
+        raise InvalidParamsError
+    for v in vecs:
+        if len(v) != space.coord_dim:
+            raise DimensionMismatchError
+        if not any(x != 0 for x in v):
+            raise ZeroVectorError
+        if space.rootsys.family == "A" and not _old_is_traceless(v):
+            raise NotInFlatError
+    return exact_rank(vecs) == min(len(vecs), space.rank)
+
+
+def _make_outcome(make, space, vectors):
+    try:
+        return make(space, vectors)
+    except Exception as exc:  # the error class is the outcome
+        return type(exc)
+
+
+NAN, INF = float("nan"), float("inf")
+BIG = np.int64(2**62)
+MAKE_FRAME_CASES = {
+    "SL(4,R)": [
+        [(1, -1, 0, 0), (0, 1, -1, 0)],
+        [(1, -1, 0, 0), (2, -2, 0, 0)],
+        [(Fraction(1, 2), Fraction(-1, 2), 0, 0), (0, Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))],
+        [(Fraction(1, 2), Fraction(1, 2), 0, 0)],
+        [(BIG,) * 4],
+        [(BIG, -BIG, 0, 0), (0, BIG, np.int64(-1), -BIG + 1)],
+        [(0.5, -0.5, 0.0, 0.0), (1e-3, -1e-3, 1.0, -1.0), (3.0, 1.0, -2.0, -2.0)],
+        [(0.1, 0.2, -0.3, 0.0)],  # not traceless in binary
+        [(NAN, 1, 0, 0)],
+        [(INF, 1, 0, 0)],
+        [(Decimal("1.5"), Decimal("-1.5"), 0, 0)],
+        [(True, False, False, -1)],
+        [("0", "0", "0", "0")],  # strings: nonzero to !=, zero to Fraction
+        [(0, 0, 0, 0), (1, 2, 3)],
+        [(1, 2, 3), (0, 0, 0, 0)],
+        [(1, 1, 1, 1), (0, 0, 0, 0)],
+        [(1, -1, 0, 0), (0.0, 0.0, 0.0, 0.0)],
+        [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 0, 0, -1), (0, 0, 0, 0)],
+        [],
+    ],
+    "Sp(4,R)": [
+        [(1, 2), (3, 4)],
+        [(NAN, 1), (0, 0)],  # the zero vector is found before the nan
+        [(NAN, 1), (1, 2)],
+        [(INF, 1), (1,)],  # the short vector is found before the inf
+        [(Fraction(1, 3), 0.25), (BIG, BIG)],
+        [(BIG, BIG), (np.int64(2**61) * 2, BIG)],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, index",
+    [(name, i) for name, cases in MAKE_FRAME_CASES.items() for i in range(len(cases))],
+)
+def test_make_frame_matches_former_checks(name, index):
+    s = space(name)
+    vectors = MAKE_FRAME_CASES[name][index]
+    expected = _make_outcome(_old_make_frame, s, vectors)
+    got = _make_outcome(make_frame, s, vectors)
+    if isinstance(expected, bool):
+        assert got.spanning is expected
+        assert got.vectors == tuple(map(tuple, vectors))
+        assert got.integer_vectors == tuple(map(tuple, integer_rows(vectors)))
+    else:
+        assert got is expected
+
+
+def test_integer_vectors_are_the_integer_rows_of_every_frame():
+    sp6 = space("Sp(6,R)")
+    made = [
+        make_frame(SL4, [(Fraction(1, 2), Fraction(-1, 6), Fraction(-1, 3), 0), (1, -1, 0, 0)]),
+        make_frame(sp6, [(0.5, 1, Fraction(-3, 4)), (BIG, 1, 0)]),
+    ]
+    drawn = random_frames(SL4, 20, seed=5) + random_frames(sp6, 20, seed=5)
+    for frame in made + drawn:
+        assert frame.integer_vectors == tuple(map(tuple, integer_rows(frame.vectors)))
+        assert all(type(x) is int for row in frame.integer_vectors for x in row)
+        # a frame made by replace computes its own rows, never the old ones
+        reversed_ = frame.vectors[::-1]
+        for replaced in (dataclasses.replace(frame), dataclasses.replace(frame, vectors=reversed_)):
+            assert "integer_vectors" not in replaced.__dict__
+            assert replaced.integer_vectors == tuple(map(tuple, integer_rows(replaced.vectors)))
+        assert dataclasses.replace(frame) == frame
+        assert "integer_vectors" not in repr(frame)
 
 
 def test_load_frame(tmp_path):

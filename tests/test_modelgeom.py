@@ -187,8 +187,35 @@ def test_stabilizer_exponentials_fix_vector():
     rng = np.random.default_rng(5)
     gens = stabilizer_generators(MODEL4, v)
     for _ in range(20):
-        h = stabilizer_rotation(MODEL4, v, rng.uniform(-2, 2, size=len(gens)))
+        h = stabilizer_rotation(MODEL4, gens, rng.uniform(-2, 2, size=len(gens)))
         assert np.abs(h @ vm @ h.T - vm).max() <= 1e-12
+
+
+def _rotation_deriving_generators(model, v, coefficients):
+    """The former stabilizer_rotation: generators derived on every call."""
+    gens = stabilizer_generators(model, v)
+    if not gens:
+        return np.eye(model.n)
+    return _exp_skew(sum(c * g for c, g in zip(coefficients, gens)))
+
+
+def test_stabilizer_rotation_from_held_generators_is_bitwise_unchanged():
+    from rootmatch.chamber import enumerate_faces
+
+    rng = np.random.default_rng(7)
+    for n in (4, 5):
+        model = ModelSpace(n)
+        for face in enumerate_faces(space(f"SL({n},R)")):
+            v = face.witness
+            if not any(v):  # the face of all simple roots is the origin
+                continue
+            gens = stabilizer_generators(model, v)
+            for _ in range(5):
+                coeffs = rng.uniform(-2.0, 2.0, size=len(gens))
+                held = stabilizer_rotation(model, gens, coeffs)
+                assert np.array_equal(held, _rotation_deriving_generators(model, v, coeffs))
+    with pytest.raises(InvalidParamsError):
+        stabilizer_rotation(MODEL4, stabilizer_generators(MODEL4, (1, 1, 1, -3)), [1.0])
 
 
 def test_stabilizer_rotations_keep_q_in_fperp():
