@@ -92,8 +92,9 @@ def codim_bounds_rank_2_to_8(inputs: Inputs) -> str:
 
 def fuzz_properties_and_matching(inputs: Inputs) -> str:
     """Criteria 3 and 4: the five properties and a validated, oracle-confirmed
-    matching on every fuzz frame of every space of rank 2..6."""
-    checked = singular = equal_row_pairs = 0
+    matching on every fuzz frame of every space of rank 2..6.  The evidence
+    counts the runs in which Hall's guard deferred a pair, and the pairs."""
+    checked = singular = equal_row_pairs = deferring = deferred = 0
     for s in catalogue():
         if s.excluded or not 2 <= s.rank <= 6:
             continue
@@ -108,7 +109,7 @@ def fuzz_properties_and_matching(inputs: Inputs) -> str:
             if not report.passed:
                 raise CheckFailedError(f"{where}: properties failed: {report.witnesses}")
             try:
-                result, _trace = greedy_match(matrix)
+                result, trace = greedy_match(matrix)
             except NoMatchingError:
                 raise CheckFailedError(f"{where}: greedy found no matching") from None
             if not validate(matrix, result):
@@ -118,9 +119,14 @@ def fuzz_properties_and_matching(inputs: Inputs) -> str:
             checked += 1
             equal_row_pairs += len(report.equal_row_pairs)
             singular += any(w < regular_weight for w in matrix.row_weights)
+            deferring += bool(trace.repairs)
+            deferred += len(trace.repairs)
     if singular <= checked // 10:
         raise CheckFailedError(f"only {singular} of {checked} frames are singular, not over 10%")
-    return f"{checked} frames ({singular} singular, {equal_row_pairs} equal-row pairs)"
+    return (
+        f"{checked} frames ({singular} singular, {equal_row_pairs} equal-row pairs,"
+        f" {deferring} deferring runs, {deferred} deferred pairs)"
+    )
 
 
 def unconstrained_matching(inputs: Inputs) -> str:

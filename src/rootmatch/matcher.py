@@ -4,16 +4,20 @@ Two independent routes certify the same statement.  ``greedy_match`` is
 a staged greedy pass: rows are processed lightest first, and the top row
 of each stage takes its leftmost live pair after which the rows still
 pending can be matched (Hall's guard).  Each pair the guard skips is
-recorded with the rows that rule it out.  ``oracle_match`` is an exact,
-hypothesis-free b-matching in which each row holds two columns, used to
-cross-check existence; ``deficient_rows`` runs the same search and, when
-no matching exists, names rows S whose 1-entries lie in fewer than 2|S|
-columns.
+recorded with the rows that rule it out.  The pass keeps one (top row,
+pair) per stage; ``AlgoTrace.stages``, the stage records with each
+stage's live counts and order, is derived from them on first read, so a
+caller that reads only the pairs pays nothing for it.  ``oracle_match``
+is an exact, hypothesis-free b-matching in which each row holds two
+columns, used to cross-check existence; ``deficient_rows`` runs the same
+search and, when no matching exists, names rows S whose 1-entries lie in
+fewer than 2|S| columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence, Union
 
@@ -63,68 +67,92 @@ class DeferralRecord:
     kind: str = "deferred"
 
 
+def _phases(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Phase-1 rows (weight equal to the number of rows) and phase-2 rows,
+    each in ascending row index."""
+    n = len(rows)
+    first: list[int] = []
+    second: list[int] = []
+    for i, row in enumerate(rows):
+        (first if row.bit_count() == n else second).append(i)
+    return first, second
+
+
 @dataclass(frozen=True)
 class AlgoTrace:
-    stages: tuple[StageRecord, ...]
+    """A greedy pass as run: the row bitmasks and column count it read,
+    one ``(top row, pair)`` per completed stage in stage order, and the
+    pairs Hall's guard deferred.
+
+    ``stages`` is derived from the picks on first read and kept: it
+    replays them over the rows, so that each ``StageRecord`` gives the
+    live counts and the order of its stage's pool.  A failed plain pass
+    has fewer picks than rows.
+    """
+
+    rows: tuple[int, ...]
+    cols: int
+    picks: tuple[tuple[int, tuple[int, int]], ...]
     repairs: tuple[DeferralRecord, ...]
+
+    @cached_property
+    def stages(self) -> tuple[StageRecord, ...]:
+        rows = self.rows
+        surviving = (1 << self.cols) - 1
+        pools = _phases(rows)
+        records = []
+        for t, (top, chosen) in enumerate(self.picks, start=1):
+            phase = 1 if pools[0] else 2
+            pool = pools[phase - 1]  # ascending row indices, so the sort is by (count, row)
+            counts = tuple((i, (rows[i] & surviving).bit_count()) for i in pool)
+            order = tuple(i for i, _count in sorted(counts, key=lambda c: c[1]))
+            assert order[0] == top, "picks do not follow the stage rule"
+            records.append(StageRecord(t, phase, order, top, counts, chosen))
+            pool.remove(top)
+            surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
+        return tuple(records)
 
 
 def _staged(rows: Sequence[int], m: int, guarded: bool):
-    """One staged pass; returns ``(assigned, stages, deferrals)``, with
-    ``assigned`` None when a top row has fewer than two live entries."""
-    n = len(rows)
+    """One staged pass; returns ``(picks, deferrals)``, the picks one
+    ``(top, pair)`` per stage, and fewer than ``len(rows)`` of them when
+    a top row has fewer than two live entries."""
     surviving = (1 << m) - 1  # columns no row holds yet
-    assigned: dict[int, tuple[int, int]] = {}
-    stages: list[StageRecord] = []
+    picks: list[tuple[int, tuple[int, int]]] = []
     deferrals: list[DeferralRecord] = []
-    pending = {
-        1: [i for i in range(n) if rows[i].bit_count() == n],
-        2: [i for i in range(n) if rows[i].bit_count() != n],
-    }
-    t = 1
-    phase = 1 if pending[1] else 2
-    while pending[1] or pending[2]:
-        if phase == 1 and not pending[1]:
-            phase = 2
-        pool = pending[phase]  # ascending row indices, so the sort below is by (count, row)
-        counts = {i: (rows[i] & surviving).bit_count() for i in pool}
-        order = sorted(pool, key=counts.__getitem__)
-        top = order[0]
-        pool.remove(top)
-        live = rows[top] & surviving
-        if not guarded:
-            low = live & -live
-            live ^= low
-            if not live:
-                return None, stages, deferrals
-            chosen = (low.bit_length() - 1, (live & -live).bit_length() - 1)
-        else:
-            # the leftmost pair after which the pending rows still match;
-            # one passes while they and the top row have a matching
-            others = pending[1] + pending[2]
-            for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
-                rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
-                held, reached = _two_per_row([rows[i] & rest for i in others], m)
-                if held is not None:
-                    break
-                blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
-                deferrals.append(DeferralRecord(t, top, chosen, blocking))
+    pools = _phases(rows)
+    for pool in pools:
+        while pool:
+            # the lightest row, the lowest index among equals
+            least = m + 1
+            for i in pool:
+                count = (rows[i] & surviving).bit_count()
+                if count < least:
+                    top, least = i, count
+            pool.remove(top)
+            live = rows[top] & surviving
+            if not guarded:
+                low = live & -live
+                live ^= low
+                if not live:
+                    return picks, deferrals
+                chosen = (low.bit_length() - 1, (live & -live).bit_length() - 1)
             else:
-                raise AssertionError("Hall's guard rejected every pair")
-        stages.append(
-            StageRecord(
-                stage=t,
-                phase=phase,
-                order=tuple(order),
-                top_row=top,
-                counts=tuple(counts.items()),
-                chosen=chosen,
-            )
-        )
-        assigned[top] = chosen
-        surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
-        t += 1
-    return assigned, stages, deferrals
+                # the leftmost pair after which the pending rows still match;
+                # one passes while they and the top row have a matching
+                others = pools[0] + pools[1]
+                for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
+                    rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
+                    held, reached = _two_per_row([rows[i] & rest for i in others], m)
+                    if held is not None:
+                        break
+                    blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
+                    deferrals.append(DeferralRecord(len(picks) + 1, top, chosen, blocking))
+                else:
+                    raise AssertionError("Hall's guard rejected every pair")
+            picks.append((top, chosen))
+            surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
+    return picks, deferrals
 
 
 def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
@@ -139,23 +167,28 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     ``DeferralRecord`` in ``trace.repairs``.  The guard is checked only
     when the plain leftmost pass strands a row: a completed plain pass
     is a matching of every residual, so the guard would have passed
-    each of its pairs.  Raises ``NoMatchingError`` exactly when the
-    matrix has no two-per-row matching.
+    each of its pairs.  The trace keeps one ``(top row, pair)`` per
+    stage; its ``stages`` records are derived from them on first read.
+    Raises ``NoMatchingError`` exactly when the matrix has no two-per-row
+    matching; its ``trace`` is the stranded plain pass.
     """
     rows, m = _rows_of(matrix)
-    assigned, stages, deferrals = _staged(rows, m, guarded=False)
-    if assigned is None:
+    picks, deferrals = _staged(rows, m, guarded=False)
+    if len(picks) < len(rows):
         held, reached = _two_per_row(rows, m)
         if held is None:
             blocking = [i for i in range(len(rows)) if reached >> i & 1]
             raise NoMatchingError(
-                f"greedy selection failed at stage {len(stages) + 1}: no matching"
+                f"greedy selection failed at stage {len(picks) + 1}: no matching"
                 f" exists, rows {blocking} hold fewer than {2 * len(blocking)} columns",
-                trace=AlgoTrace(stages=tuple(stages), repairs=()),
+                trace=AlgoTrace(rows, m, tuple(picks), ()),
             )
-        assigned, stages, deferrals = _staged(rows, m, guarded=True)
-    pairs = tuple(assigned[i] for i in range(len(rows)))
-    return MatchResult(pairs=pairs), AlgoTrace(stages=tuple(stages), repairs=tuple(deferrals))
+        picks, deferrals = _staged(rows, m, guarded=True)
+    pairs = dict(picks)
+    return (
+        MatchResult(pairs=tuple(pairs[i] for i in range(len(rows)))),
+        AlgoTrace(rows, m, tuple(picks), tuple(deferrals)),
+    )
 
 
 def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:

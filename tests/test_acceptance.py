@@ -14,12 +14,13 @@ from rootmatch import checks
 INPUTS = checks.Inputs()
 
 
-def _run(number: int, budget: float, *criterion) -> None:
+def _run(number: int, budget: float, *criterion) -> str:
     start = time.time()
     evidence = "; ".join(check(INPUTS) for check in criterion)
     elapsed = time.time() - start
     print(f"ACCEPTANCE {number}: PASS ({elapsed:.1f}s / budget {budget:.0f}s) {evidence}")
     assert elapsed < budget, f"criterion {number} exceeded its runtime budget"
+    return evidence
 
 
 def test_criterion_1_catalogue_identities():
@@ -31,7 +32,9 @@ def test_criterion_2_codimension_bounds():
 
 
 def test_criterion_3_matrix_properties():
-    _run(3, 120.0, checks.fuzz_properties_and_matching)
+    evidence = _run(3, 120.0, checks.fuzz_properties_and_matching)
+    # the seed-1 corpus holds leftmost-greedy dead ends, and the evidence counts them
+    assert evidence.endswith(", 308 deferring runs, 323 deferred pairs)")
 
 
 def test_criterion_4_two_per_row_matching():

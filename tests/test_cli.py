@@ -206,6 +206,38 @@ def test_match_no_matching(tmp_path, capsys):
     assert len(union) < 2 * len(deficient)
 
 
+def test_match_trace_of_a_failed_pass(tmp_path, capsys):
+    # the plain pass gives row 0 columns 1 and 2 and strands row 1; the
+    # trace holds the one completed stage
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"entries": [[1, 1, 0, 0, 1], [1, 1, 0, 0, 0], [1, 1, 1, 0, 0]]}))
+    code, out, _err = run(capsys, "match", "--input", str(matrix), "--trace", "--oracle")
+    assert code == 1
+    assert json.loads(out) == {
+        "subcommand": "match",
+        "version": rootmatch.__version__,
+        "inputs_digest": "2add884c2077a3d9",
+        "pairs": None,
+        "error": "no matching found",
+        "trace": {
+            "stages": [
+                {
+                    "stage": 1,
+                    "phase": 1,
+                    "order": [0, 2],
+                    "top_row": 0,
+                    "counts": [[0, 3], [2, 3]],
+                    "chosen": [1, 2],
+                }
+            ],
+            "deferred": [],
+        },
+        "oracle_found": False,
+        "oracle_agrees": True,
+        "oracle_deficient_rows": [0, 1],
+    }
+
+
 def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
     # Selection matrices on which the leftmost greedy pass strands a row
     # although a matching exists: the spanning SL(4,R) frame

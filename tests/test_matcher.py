@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 
 from rootmatch.errors import MalformedMatrixError, NoMatchingError
 from rootmatch.exact import exact_rank
-from rootmatch.framematrix import build_matrix, make_frame
-from rootmatch.matcher import deficient_rows, greedy_match, oracle_match, validate
+from rootmatch.framematrix import build_matrix, make_frame, masks_from_rows
+from rootmatch.matcher import (
+    DeferralRecord,
+    StageRecord,
+    _two_per_row,
+    deficient_rows,
+    greedy_match,
+    oracle_match,
+    validate,
+)
 from rootmatch.rootdata import space
 
 SL4 = space("SL(4,R)")
@@ -183,9 +191,72 @@ def test_trace_sanity_on_catalogue_matrix():
                 assert nxt[row] >= count - 1
 
 
+def _eager_staged(rows, m, guarded):
+    """One staged pass that builds every stage record as it goes: the
+    reference for the records ``AlgoTrace.stages`` derives from the
+    picks.  Returns ``(assigned, stages, deferrals)``, with ``assigned``
+    None when a top row has fewer than two live entries."""
+    n = len(rows)
+    surviving = (1 << m) - 1
+    assigned, stages, deferrals = {}, [], []
+    pending = {
+        1: [i for i in range(n) if rows[i].bit_count() == n],
+        2: [i for i in range(n) if rows[i].bit_count() != n],
+    }
+    t = 1
+    phase = 1 if pending[1] else 2
+    while pending[1] or pending[2]:
+        if phase == 1 and not pending[1]:
+            phase = 2
+        pool = pending[phase]
+        counts = {i: (rows[i] & surviving).bit_count() for i in pool}
+        order = sorted(pool, key=counts.__getitem__)
+        top = order[0]
+        pool.remove(top)
+        live = rows[top] & surviving
+        if not guarded:
+            low = live & -live
+            live ^= low
+            if not live:
+                return None, stages, deferrals
+            chosen = (low.bit_length() - 1, (live & -live).bit_length() - 1)
+        else:
+            others = pending[1] + pending[2]
+            for chosen in itertools.combinations([c for c in range(m) if live >> c & 1], 2):
+                rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
+                held, reached = _two_per_row([rows[i] & rest for i in others], m)
+                if held is not None:
+                    break
+                blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
+                deferrals.append(DeferralRecord(t, top, chosen, blocking))
+            else:
+                raise AssertionError("Hall's guard rejected every pair")
+        stages.append(StageRecord(t, phase, tuple(order), top, tuple(counts.items()), chosen))
+        assigned[top] = chosen
+        surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
+        t += 1
+    return assigned, stages, deferrals
+
+
+def _eager_greedy(rows):
+    """``greedy_match`` with eager stage records: ``(pairs, stages,
+    deferrals)``, pairs None and the stranded plain pass's records when
+    no matching exists."""
+    masks, m = masks_from_rows(rows)
+    assigned, stages, deferrals = _eager_staged(masks, m, guarded=False)
+    if assigned is None:
+        if _two_per_row(masks, m)[0] is None:
+            return None, tuple(stages), ()
+        assigned, stages, deferrals = _eager_staged(masks, m, guarded=True)
+    pairs = tuple(assigned[i] for i in range(len(masks)))
+    return pairs, tuple(stages), tuple(deferrals)
+
+
 def test_soundness_on_random_matrices():
+    # greedy against the oracle, and its trace, failed passes included,
+    # against the eager stage records
     rng = np.random.default_rng(123)
-    greedy_wins = 0
+    greedy_wins = failed_stages = deferring = 0
     for _ in range(300):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 16))
@@ -194,13 +265,20 @@ def test_soundness_on_random_matrices():
         if oracle is not None:
             assert validate(rows, oracle)
         try:
-            result, _trace = greedy_match(rows)
-        except NoMatchingError:
+            result, trace = greedy_match(rows)
+            pairs = result.pairs
+        except NoMatchingError as exc:
+            trace, pairs = exc.trace, None
+            failed_stages += bool(trace.stages)
+        assert (pairs, trace.stages, trace.repairs) == _eager_greedy(rows), rows
+        if pairs is None:
             continue
         greedy_wins += 1
+        deferring += bool(trace.repairs)
         assert validate(rows, result)
         assert oracle is not None
     assert greedy_wins > 50
+    assert (failed_stages, deferring) == (78, 8)
 
 
 def test_oracle_against_brute_force():
