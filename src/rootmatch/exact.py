@@ -21,21 +21,30 @@ def dot(x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
 
 
 _INT = {int}
+_EXACT = {int, Fraction}
 
 
 def integer_row(row: Sequence[Rat]) -> list[int]:
     """Scale a row by the lcm of its denominators: an integer row on the same ray.
 
-    ints and Fractions are scaled through their numerator and
-    denominator; any other rational goes through ``Fraction(x)`` first.
-    Entries come out as Python ints, also where a numerator is a numpy
-    integer, which would wrap around in the elimination.
+    A row of ints is copied; a row holding any rational other than ints
+    and Fractions goes through ``Fraction(x)`` first, then ``scaled_row``.
     """
-    if set(map(type, row)) <= _INT:
+    types = set(map(type, row))
+    if types <= _INT:
         return list(row)
-    fracs = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in row]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [int(f.numerator) * (scale // f.denominator) for f in fracs]
+    return scaled_row(row if types <= _EXACT else list(map(Fraction, row)))
+
+
+def scaled_row(row: Sequence[Rat]) -> list[int]:
+    """``integer_row`` of a row of ints and Fractions, through their
+    ``as_integer_ratio()`` pairs and one lcm.  Entries come out as Python
+    ints, also where a numerator is a numpy integer, which would wrap
+    around in the elimination.
+    """
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = lcm(*[d for _, d in ratios])
+    return [int(n) * (scale // d) for n, d in ratios]
 
 
 def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
@@ -44,31 +53,42 @@ def integer_rows(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
 
 
 def exact_rank(rows: Sequence[Sequence[Rat]]) -> int:
-    """Rank of a small rational matrix, fraction free.
+    """Rank of a small rational matrix: ``integer_rank`` of its integer rows."""
+    return integer_rank(integer_rows(rows))
 
-    Bareiss elimination over integers: every intermediate entry is a
-    minor of the (row-scaled) input, so the division below is exact and
-    entries stay polynomially bounded.
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a matrix of Python ints, fraction free; ``rows`` is left as is.
+
+    Bareiss elimination (Bareiss 1968): every intermediate entry is a
+    minor of the input, so the division below is exact and entries stay
+    polynomially bounded.  A step replaces whole rows of a list of its
+    own and never writes into a row it was given.
     """
-    work = integer_rows(rows)
-    if not work:
+    work = list(rows)
+    m = len(work)
+    if not m:
         return 0
-    ncols = len(work[0])
     r = 0
     prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
+    for c in range(len(work[0])):
+        for i in range(r, m):
+            if work[i][c]:
+                break
+        else:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        lead = work[r][c]
-        for i in range(r + 1, len(work)):
-            f = work[i][c]
-            work[i] = [(lead * a - f * b) // prev for a, b in zip(work[i], work[r])]
-        prev = lead
+        top = work[i]
+        work[i] = work[r]
+        work[r] = top
         r += 1
-        if r == len(work):
+        if r == m:
             break
+        lead = top[c]
+        for i in range(r, m):
+            row = work[i]
+            f = row[c]
+            work[i] = [(lead * a - f * b) // prev for a, b in zip(row, top)]
+        prev = lead
     return r
 
 
@@ -129,11 +149,3 @@ def primitive_integer(vec: Sequence[Rat]) -> tuple[int, ...]:
     ints = integer_row(vec)
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g else tuple(ints)
-
-
-def in_span(vec: Sequence[Rat], basis: Sequence[Sequence[Rat]]) -> bool:
-    """Exact membership of ``vec`` in the span of ``basis``."""
-    if not basis:
-        return all(Fraction(x) == 0 for x in vec)
-    base = exact_rank(basis)
-    return exact_rank(list(basis) + [vec]) == base

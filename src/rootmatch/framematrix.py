@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -29,7 +30,7 @@ from .errors import (
     RootmatchError,
     ZeroVectorError,
 )
-from .exact import Rat, exact_rank, integer_row
+from .exact import Rat, integer_rank, integer_row, scaled_row
 from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor
 
 Vector = tuple[Rat, ...]
@@ -55,6 +56,7 @@ class FrameSpec:
         return tuple(tuple(integer_row(v)) for v in self.vectors)
 
 
+_INT = {int}
 _EXACT = {int, Fraction}
 
 
@@ -66,7 +68,7 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
     are converted only by the first check that needs them, the trace
     check or the rank, so a float nan raises where it always has.
     """
-    vecs = tuple(tuple(v) for v in vectors)
+    vecs = tuple(map(tuple, vectors))
     if not vecs:
         raise EmptyFrameError("a frame needs at least one vector")
     if len(vecs) > space.rank:
@@ -74,25 +76,29 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
             f"frame has {len(vecs)} vectors but the rank is {space.rank}"
         )
     traceless = space.rootsys.family == "A"
-    rows: list[Optional[list[int]]] = []
+    dim = space.coord_dim
+    rows: list[Optional[tuple[int, ...]]] = []
     for v in vecs:
-        if len(v) != space.coord_dim:
+        if len(v) != dim:
             raise DimensionMismatchError(
-                f"frame vector length {len(v)} != coordinate dimension {space.coord_dim}"
+                f"frame vector length {len(v)} != coordinate dimension {dim}"
             )
-        row = integer_row(v) if set(map(type, v)) <= _EXACT else None
-        if not (any(row) if row is not None else any(x != 0 for x in v)):
-            raise ZeroVectorError("frame vectors must be nonzero")
-        if traceless:
-            if row is None:
-                row = integer_row(v)
-            if sum(row):
-                raise NotInFlatError("A-family frame vectors must have zero coordinate sum")
+        types = set(map(type, v))
+        if types <= _EXACT:
+            row = v if types <= _INT else tuple(scaled_row(v))
+            if not any(row):
+                raise ZeroVectorError("frame vectors must be nonzero")
+        else:
+            if not any(x != 0 for x in v):
+                raise ZeroVectorError("frame vectors must be nonzero")
+            row = tuple(integer_row(v)) if traceless else None
+        if traceless and sum(row):
+            raise NotInFlatError("A-family frame vectors must have zero coordinate sum")
         rows.append(row)
-    ints = tuple(
-        tuple(integer_row(v) if row is None else row) for v, row in zip(vecs, rows)
-    )
-    spanning = exact_rank(ints) == min(len(vecs), space.rank)
+    if None in rows:
+        rows = [tuple(integer_row(v)) if row is None else row for v, row in zip(vecs, rows)]
+    ints = tuple(rows)
+    spanning = integer_rank(ints) == min(len(vecs), space.rank)
     frame = FrameSpec(vectors=vecs, space=space, spanning=spanning)
     frame.__dict__["integer_vectors"] = ints  # fills the cached property
     return frame
@@ -500,7 +506,7 @@ def random_frames(
         for vectors, spans in zip(attempts, _spans_mod_p(attempts, k).tolist()):
             if rejected >= max_attempts:
                 raise RuntimeError(f"could not sample a spanning frame for {space.name}")
-            if spans or exact_rank(vectors) == k:
+            if spans or integer_rank(vectors) == k:
                 vecs = tuple(tuple(v) for v in vectors)
                 frame = FrameSpec(vectors=vecs, space=space, spanning=True)
                 frame.__dict__["integer_vectors"] = vecs  # drawn as ints
@@ -521,32 +527,74 @@ def random_frames(
 # parts, after a longer regex.  Every other text goes to Fraction(text),
 # which defines the accepted grammar.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# Fraction's grammar for a decimal with an exponent: the whole digits,
+# the fraction digits and the exponent, each with optional underscores.
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+    r"[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
 
 
-def _rational(entry) -> Fraction:
-    text = str(entry)
+def _check_exponent(text: str, whole: str, fraction: str, exponent: str) -> None:
+    """Reject an exponent form whose value, written out by moving the
+    decimal point, has more digits than ``int()`` accepts: the numerator
+    when the exponent moves the point past the fraction digits, else the
+    denominator, a power of ten with one digit more than the places left
+    after the point.  Without this check ``Fraction`` builds
+    ``10**exponent`` first, whatever its size.
+    """
+    # 0 means no limit, as on Pythons before 3.10.7, which have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    shift = int(exponent)
+    places = len(fraction.replace("_", ""))
+    written = len(whole.replace("_", "")) + shift if shift > places else 1 + places - shift
+    if written > limit:
+        raise ValueError(
+            f"{text!r} written out has {written} digits, past the {limit}-digit limit of int()"
+        )
+
+
+def _rational(text: str) -> Fraction:
     plain = _PLAIN_RATIONAL.fullmatch(text)
     if plain is None:
+        exponent = _EXPONENT_FORM.fullmatch(text)
+        if exponent is not None:
+            _check_exponent(text, *(part or "" for part in exponent.groups()))
         return Fraction(text)
     num, den = plain.groups()
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def parse_frame_vectors(text: str) -> list[tuple[Fraction, ...]]:
+    """The vectors of a frame file, each entry read as
+    ``Fraction(str(entry))`` after the exponent cap of ``_check_exponent``.
+    Each distinct entry text is read once per call: wall frames repeat a
+    few texts such as ``-1/4`` in every row.
+    """
     try:
         data = json.loads(text)
     except ValueError as exc:  # also numbers past int's digit limit
         raise FrameFileError(f"frame file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise FrameFileError("frame file must be a nonempty JSON array of vectors")
+    values: dict[str, Fraction] = {}  # entry text -> its value
     vectors = []
     for row in data:
         if not isinstance(row, list):
             raise FrameFileError("each frame vector must be a JSON array")
-        try:
-            vectors.append(tuple(map(_rational, row)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FrameFileError(f"bad rational entry in frame file: {exc}") from exc
+        vector = []
+        for entry in row:
+            key = str(entry)
+            value = values.get(key)
+            if value is None:
+                try:
+                    value = values[key] = _rational(key)
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise FrameFileError(f"bad rational entry in frame file: {exc}") from exc
+            vector.append(value)
+        vectors.append(tuple(vector))
     return vectors
 
 

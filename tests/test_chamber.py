@@ -117,19 +117,21 @@ def test_witness_codim_agreement():
 
 
 def test_vanishing_sets_match_span_membership():
-    # independent oracle: rational span membership by row reduction,
+    # independent oracle: rational span membership by row reduction (a
+    # root is in the span when adding it leaves the rank as it is),
     # against the simple-coefficient masks used by enumerate_faces
-    from rootmatch.exact import in_span
+    from rootmatch.exact import exact_rank
 
     for name in ("SL(4,R)", "Sp(6,R)", "SO(3,5)", "SU(3,2)"):
         s = space(name)
         simples = simple_system(s.rootsys)
         for face in enumerate_faces(s):
             span_basis = [simples[i].coords for i in face.simple_subset]
+            base = exact_rank(span_basis)
             expected = {
                 r.coords
                 for r in s.rootsys.positives
-                if in_span(r.coords, span_basis)
+                if exact_rank(span_basis + [r.coords]) == base
             }
             assert {r.coords for r in face.vanishing} == expected
 

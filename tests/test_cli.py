@@ -102,6 +102,9 @@ BAD_FRAMES = {
     "zero_vector": '[["0","0","0","0"]]',
     "too_many_vectors": '[["1","-1","0","0"],["0","1","-1","0"],["0","0","1","-1"],["1","0","0","-1"]]',
     "no_vectors": "[]",
+    # past int()'s digit limit when written out; Fraction alone would
+    # spend minutes building 10**100000000
+    "huge_exponent": '[["1e100000000","0","0","0"]]',
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from rootmatch.exact import (
     dot,
     exact_rank,
-    in_span,
+    integer_rank,
     integer_rows,
     primitive_integer,
     solve_unique,
@@ -57,18 +57,36 @@ def _fraction_rank(rows):
 
 
 def test_rank_against_fraction_oracle():
-    import numpy as np
-
     rng = np.random.default_rng(31)
-    for _ in range(500):
+    for trial in range(500):
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 8))
         mat = rng.integers(-9, 10, size=(n, m))
         if rng.random() < 0.5 and n >= 2:
             # force dependence to exercise column skipping
             mat[n - 1] = mat[0] * int(rng.integers(-3, 4))
-        rows = [tuple(int(x) for x in row) for row in mat]
-        assert exact_rank(rows) == _fraction_rank(rows)
+        if trial % 3 == 0:
+            mat[:, : int(rng.integers(0, m + 1))] = 0  # leading zero columns
+        dens = rng.integers(1, 13, size=(n, m))
+        forms = {
+            "int": [tuple(int(x) for x in row) for row in mat],
+            "int64": mat,
+            "int64 rows": [tuple(row) for row in mat],
+            # Fractions over denominators that differ within a row
+            "Fraction": [
+                tuple(Fraction(int(x), int(d)) for x, d in zip(row, drow))
+                for row, drow in zip(mat, dens)
+            ],
+        }
+        for name, rows in forms.items():
+            before = [list(row) for row in rows]
+            assert exact_rank(rows) == _fraction_rank(rows), name
+            assert [list(row) for row in rows] == before, name
+        ints = integer_rows(forms["Fraction"])
+        before = [list(row) for row in ints]
+        expected = _fraction_rank(forms["Fraction"])
+        assert integer_rank(ints) == integer_rank(tuple(map(tuple, ints))) == expected
+        assert ints == before  # the kernel writes into no row it was given
 
 
 def test_solve_unique_square():
@@ -156,6 +174,11 @@ def test_integer_rows_other_rationals_go_through_fraction():
     assert exact_rank(np.array(wide, dtype=np.int64)) == 2
     inner = Fraction(np.int64(2**40), 3)
     assert type(integer_rows([(inner, 1)])[0][0]) is int
+
+
+def in_span(vec, basis):
+    """Oracle: exact membership of ``vec`` in the span of ``basis``."""
+    return exact_rank([*basis, vec]) == exact_rank(basis)
 
 
 def test_in_span():

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral
@@ -563,6 +565,98 @@ def test_parse_frame_vectors_accepts_what_fraction_accepts(entry):
     (got,), = parse_frame_vectors(text)
     assert type(got) is Fraction
     assert got == expected
+
+
+def _parse_oracle(text):
+    """Each entry as ``Fraction(str(entry))``, one at a time: the vectors,
+    or the message of the frame-file error for the first bad entry."""
+    try:
+        return [tuple(Fraction(str(x)) for x in row) for row in json.loads(text)]
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"bad rational entry in frame file: {exc}"
+
+
+# Files that repeat entry texts, and values spelled as different texts
+# (1 and "1", 1.5 and "1.5", " 3/4 " and "3/4"), for the per-file cache
+# of entry values; the bad entries appear twice, and true, equal to 1 as
+# a dict key, must not be read as the 1 before it.
+REPEATED_ENTRY_FILES = {
+    "spellings": [[1, "1", 1.5, "1.5"], [" 3/4 ", "3/4", "1", 1], ["1.5", 1.5, " 3/4 ", "-1/4"]],
+    "bad_twice": [["3/4", "-1/4"], ["3/4", "x"], ["x", "-1/4"]],
+    "bad_twice_in_a_row": [["-1/4", "1/0", "1/0"]],
+    "true_after_one": [[1, "1"], [True, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_ENTRY_FILES))
+def test_parse_frame_vectors_reads_repeated_entries_like_fraction(name):
+    text = json.dumps(REPEATED_ENTRY_FILES[name])
+    expected = _parse_oracle(text)
+    if isinstance(expected, str):
+        with pytest.raises(FrameFileError) as info:
+            parse_frame_vectors(text)
+        assert str(info.value) == expected
+        return
+    got = parse_frame_vectors(text)
+    assert got == expected
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+# Exponent forms around int()'s default 4,300-digit limit, each beside
+# its value written out in digits: the two are accepted or rejected
+# together.  Kept apart from GRAMMAR_CORPUS, whose oracle would build
+# the huge powers of ten.
+LIMIT = 4300
+EXPONENT_SPELLINGS = [
+    ("1e4299", "1" + "0" * 4299),
+    ("1e4300", "1" + "0" * 4300),
+    ("-1e20000", "-1" + "0" * 20000),
+    ("1.5e4299", "15" + "0" * 4298),
+    ("1.5e4300", "15" + "0" * 4299),
+    ("1_0e4299", "10" + "0" * 4299),
+    ("0e5000", "0" * 5001),
+    ("1e-4299", "1/1" + "0" * 4299),
+    ("1e-4300", "1/1" + "0" * 4300),
+    ("-25e-20000", "-25/1" + "0" * 20000),
+    ("2.5e-4298", "25/1" + "0" * 4299),
+    ("2.5e-4299", "25/1" + "0" * 4300),
+]
+
+
+@pytest.fixture
+def digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(LIMIT)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def _parsed_or_error(entry):
+    try:
+        return parse_frame_vectors(json.dumps([[entry]]))[0][0]
+    except FrameFileError:
+        return FrameFileError
+
+
+@pytest.mark.parametrize(
+    "exponent_form, written", EXPONENT_SPELLINGS, ids=[form for form, _ in EXPONENT_SPELLINGS]
+)
+def test_exponent_forms_past_the_digit_limit_are_rejected_as_written(digit_limit, exponent_form, written):
+    got = _parsed_or_error(exponent_form)
+    assert got == _parsed_or_error(written)
+    digits = max(len(part.lstrip("-")) for part in written.split("/"))
+    assert (got is FrameFileError) == (digits > LIMIT)
+
+
+def test_huge_exponent_is_rejected_before_fraction_builds_it(digit_limit):
+    for entry in ("1e100000000", "-7.5e-100000000"):
+        start = time.perf_counter()
+        with pytest.raises(FrameFileError, match="past the 4300-digit limit"):
+            parse_frame_vectors(json.dumps([[entry, "0"]]))
+        assert time.perf_counter() - start < 1.0
+    # with no limit (0) there is no cap, as int() has none
+    sys.set_int_max_str_digits(0)
+    assert parse_frame_vectors('[["1e20000"]]') == [(Fraction(10**20000),)]
 
 
 def _old_is_traceless(v):
