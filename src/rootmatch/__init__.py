@@ -32,12 +32,12 @@ from .modelgeom import (
     ModelSpace,
     RatioEstimate,
     angle_to_subspace,
-    haar_rotation,
     min_bracket_gain,
     pipeline_flat,
     pipeline_perturbed,
     q_subspace,
     sample_ratio,
+    sample_ratios,
     snap_to_singular,
     stabilizer_generators,
 )
@@ -77,12 +77,12 @@ __all__ = [
     "ModelSpace",
     "RatioEstimate",
     "angle_to_subspace",
-    "haar_rotation",
     "min_bracket_gain",
     "pipeline_flat",
     "pipeline_perturbed",
     "q_subspace",
     "sample_ratio",
+    "sample_ratios",
     "snap_to_singular",
     "stabilizer_generators",
     "Root",

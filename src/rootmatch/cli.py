@@ -37,6 +37,7 @@ from .modelgeom import (
     pipeline_perturbed,
     random_perturbation_case,
     sample_ratio,
+    sample_ratios,
 )
 from .rootdata import Root, catalogue, space as lookup_space
 
@@ -189,6 +190,8 @@ def _load_matrix_file(path: str) -> list[list[int]]:
         raise FrameFileError(f"cannot read matrix file {path!r}: {exc}") from exc
     except ValueError as exc:  # also bad UTF-8 and numbers past int's digit limit
         raise FrameFileError(f"matrix file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameFileError("matrix file nests arrays or objects too deeply to read") from exc
     if not isinstance(data, dict) or "entries" not in data:
         raise FrameFileError('matrix file must be an object with an "entries" key')
     entries = data["entries"]
@@ -328,17 +331,18 @@ def cmd_verify(args) -> tuple[int, str]:
         frame = random_frames(space, 1, seed=seeds[0], singular_fraction=1.0)[0].vectors
 
     flat = pipeline_flat(model, frame)
-    ratio_per_pair = {}
+    # every pair is scored on the same seeds[0] rotations; the first,
+    # (v1, v1_prime), is also the first seed's entry of the seed spread
+    tags, pairs = [], []
     for i, v in enumerate(frame):
         for tag, mat in (("prime", flat.primed[i]), ("double_prime", flat.double_primed[i])):
-            est = sample_ratio(model, v, mat, args.samples, seeds[0])
-            ratio_per_pair[f"v{i + 1}_{tag}"] = est.max_ratio
-    ratio_by_seed = []
-    v0 = frame[0]
-    b0 = flat.primed[0]
-    for s in seeds:
-        est = sample_ratio(model, v0, b0, args.samples, s)
-        ratio_by_seed.append(est.max_ratio)
+            tags.append(f"v{i + 1}_{tag}")
+            pairs.append((v, mat))
+    estimates = sample_ratios(model, pairs, args.samples, seeds[0])
+    ratio_per_pair = {tag: est.max_ratio for tag, est in zip(tags, estimates)}
+    ratio_by_seed = [ratio_per_pair["v1_prime"]]
+    for s in seeds[1:]:
+        ratio_by_seed.append(sample_ratio(model, *pairs[0], args.samples, s).max_ratio)
 
     pframe, u = random_perturbation_case(model, seeds[0])
     gram_by_eps = {}

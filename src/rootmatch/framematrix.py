@@ -577,6 +577,8 @@ def parse_frame_vectors(text: str) -> list[tuple[Fraction, ...]]:
         data = json.loads(text)
     except ValueError as exc:  # also numbers past int's digit limit
         raise FrameFileError(f"frame file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FrameFileError("frame file nests arrays or objects too deeply to read") from exc
     if not isinstance(data, list) or not data:
         raise FrameFileError("frame file must be a nonempty JSON array of vectors")
     values: dict[str, Fraction] = {}  # entry text -> its value

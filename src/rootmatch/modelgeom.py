@@ -157,13 +157,6 @@ def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return q
 
 
-def haar_rotation(n: int, seed: int) -> np.ndarray:
-    """One Haar-distributed rotation from SO(n), reproducible from the seed."""
-    if n < 2:
-        raise InvalidParamsError("rotations need n >= 2")
-    return _haar_batch(np.random.default_rng(seed), n, 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # Invariant complements and stabilizers of flat vectors.
 
@@ -245,36 +238,68 @@ def ratio_angles(
     return num, den
 
 
-def _batched_ratio(
+def _batched_ratios(
     model: ModelSpace,
-    numerator: np.ndarray,
-    denominator: np.ndarray,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     samples: int,
     seed: int,
     floor: float = 1e-6,
-) -> RatioEstimate:
-    """Max over Haar rotations h of angle(h.num, Fperp) / angle(h.den, F).
+) -> list[RatioEstimate]:
+    """Max over Haar rotations h of angle(h.num, Fperp) / angle(h.den, F),
+    one estimate per (num, den) pair, all pairs scored on the same draws.
 
     Chunks of fixed size keep the sample stream a prefix of any longer
     run on the same seed, so estimates are nondecreasing in the sample
-    count.
+    count.  Each pair goes through its own ``ratio_angles`` call on each
+    chunk, so its estimate is bit for bit the one it gets alone.
     """
     rng = np.random.default_rng(seed)
-    num_mat = numerator / np.sqrt(trace_inner(numerator, numerator))
-    den_mat = denominator / np.sqrt(trace_inner(denominator, denominator))
-    best = 0.0
-    zeros = 0
+    units = [
+        (num / np.sqrt(trace_inner(num, num)), den / np.sqrt(trace_inner(den, den)))
+        for num, den in pairs
+    ]
+    best = [0.0] * len(units)
+    zeros = [0] * len(units)
     done = 0
     while done < samples:
         size = min(_CHUNK, samples - done)
         hs = _haar_batch(rng, model.n, size)
-        num, den = ratio_angles(num_mat, den_mat, hs)
-        keep = den >= floor
-        zeros += int((~keep).sum())
-        if keep.any():
-            best = max(best, float((num[keep] / den[keep]).max()))
+        for k, (num_mat, den_mat) in enumerate(units):
+            num, den = ratio_angles(num_mat, den_mat, hs)
+            keep = den >= floor
+            zeros[k] += int((~keep).sum())
+            if keep.any():
+                best[k] = max(best[k], float((num[keep] / den[keep]).max()))
         done += size
-    return RatioEstimate(best, zeros, samples, seed)
+    return [RatioEstimate(b, z, samples, seed) for b, z in zip(best, zeros)]
+
+
+def sample_ratios(
+    model: ModelSpace,
+    pairs: Sequence[tuple[Sequence[Rat], np.ndarray]],
+    samples: int,
+    seed: int,
+) -> list[RatioEstimate]:
+    """Sampled bounds for angle(h.b, Fperp) <= C * angle(h.v, F), one per
+    (v, b) pair, every pair scored on the same Haar rotations.
+
+    Each ``v`` is an exact flat vector and its ``b`` must lie in Q_v
+    (checked to 1e-10, for every pair before any draw).  Samples whose
+    denominator angle falls below 1e-6 are excluded and counted
+    separately.
+    """
+    mats = []
+    for v, b in pairs:
+        q_basis = q_subspace(model, v)
+        b_norm = np.sqrt(trace_inner(b, b))
+        if b_norm < 1e-12:
+            raise ZeroVectorError("b must be nonzero")
+        unit = b / b_norm
+        residual = unit - sum(trace_inner(unit, q) * q for q in q_basis)
+        if np.sqrt(max(trace_inner(residual, residual), 0.0)) > 1e-10:
+            raise BNotInQError("b has a component outside Q_v")
+        mats.append((unit, model.diag_matrix([float(Fraction(x)) for x in v])))
+    return _batched_ratios(model, mats, samples, seed)
 
 
 def sample_ratio(
@@ -284,22 +309,8 @@ def sample_ratio(
     samples: int,
     seed: int,
 ) -> RatioEstimate:
-    """Sampled bound for angle(h.b, Fperp) <= C * angle(h.v, F).
-
-    ``v`` is an exact flat vector and ``b`` must lie in Q_v (checked to
-    1e-10).  Samples whose denominator angle falls below 1e-6 are
-    excluded and counted separately.
-    """
-    q_basis = q_subspace(model, v)
-    b_norm = np.sqrt(trace_inner(b, b))
-    if b_norm < 1e-12:
-        raise ZeroVectorError("b must be nonzero")
-    unit = b / b_norm
-    residual = unit - sum(trace_inner(unit, q) * q for q in q_basis)
-    if np.sqrt(max(trace_inner(residual, residual), 0.0)) > 1e-10:
-        raise BNotInQError("b has a component outside Q_v")
-    v_mat = model.diag_matrix([float(Fraction(x)) for x in v])
-    return _batched_ratio(model, unit, v_mat, samples, seed)
+    """``sample_ratios`` for the one pair (v, b)."""
+    return sample_ratios(model, [(v, b)], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +426,8 @@ def pipeline_flat(
     Builds the selection matrix, runs the greedy matching, and maps the
     chosen columns to their b_ij matrices.  The members are exactly
     orthonormal and orthogonal to the flat.  ``ratio_samples > 0`` also
-    estimates the angle-ratio constant over every (v_i, output) pair.
+    estimates the angle-ratio constant over every (v_i, output) pair, all
+    on the same rotations of ``seed``.
     """
     vectors = [tuple(_to_exact(x) for x in v) for v in frame]
     space = _sl_space(model.n)
@@ -432,11 +444,8 @@ def pipeline_flat(
     gram = _gram_deviation(list(primed) + list(double_primed))
     ratio = None
     if ratio_samples > 0:
-        ratio = 0.0
-        for i, v in enumerate(vectors):
-            for out in (primed[i], double_primed[i]):
-                est = sample_ratio(model, v, out, ratio_samples, seed)
-                ratio = max(ratio, est.max_ratio)
+        pairs = [(v, out) for i, v in enumerate(vectors) for out in (primed[i], double_primed[i])]
+        ratio = max(est.max_ratio for est in sample_ratios(model, pairs, ratio_samples, seed))
     return DoubledFrame(
         primed=primed,
         double_primed=double_primed,
@@ -548,11 +557,8 @@ def pipeline_perturbed(
     gram = _gram_deviation(list(primed) + list(double_primed))
     ratio = None
     if ratio_samples > 0:
-        ratio = 0.0
-        for i in range(len(flats)):
-            for out in (primed[i], double_primed[i]):
-                est = _batched_ratio(model, out, v_mats[i], ratio_samples, seed)
-                ratio = max(ratio, est.max_ratio)
+        pairs = [(out, vm) for i, vm in enumerate(v_mats) for out in (primed[i], double_primed[i])]
+        ratio = max(est.max_ratio for est in _batched_ratios(model, pairs, ratio_samples, seed))
     return DoubledFrame(
         primed=primed,
         double_primed=double_primed,

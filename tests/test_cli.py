@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rootmatch
-from rootmatch import checks
+from rootmatch import checks, modelgeom
 from rootmatch.cli import main
 from rootmatch.errors import CheckFailedError
 
@@ -105,6 +106,8 @@ BAD_FRAMES = {
     # past int()'s digit limit when written out; Fraction alone would
     # spend minutes building 10**100000000
     "huge_exponent": '[["1e100000000","0","0","0"]]',
+    # past the decoder's recursion limit
+    "deep_nesting": "[" * 100_000 + "]" * 100_000,
 }
 
 
@@ -129,12 +132,17 @@ def test_malformed_frame_file_is_config_error(tmp_path, capsys, command, kind):
 )
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe[[1]]", b"[[" + b"1" * 5000 + b",0,0,0]]"],
-    ids=["not_utf8", "digit_limit"],
+    [
+        b"\xff\xfe[[1]]",
+        b"[[" + b"1" * 5000 + b",0,0,0]]",
+        b'{"entries": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["not_utf8", "digit_limit", "deep_nesting"],
 )
 def test_unreadable_input_file_is_config_error(tmp_path, capsys, command, content):
     # bytes that are not UTF-8, and a JSON number past int's 4300-digit
-    # string limit, raise ValueErrors other than JSONDecodeError
+    # string limit, raise ValueErrors other than JSONDecodeError; nesting
+    # past the decoder's recursion limit raises RecursionError
     path = tmp_path / "input.json"
     path.write_bytes(content)
     code, out, err = run(capsys, *command, str(path))
@@ -307,6 +315,25 @@ def test_verify_subcommand(capsys):
     assert payload["passed"] is True
     assert payload["checks"]["flat_gram_below_cap"] is True
     assert payload["checks"]["eps_scaling_spread_within_10x"] is True
+
+
+def test_verify_draws_each_seed_once(capsys, monkeypatch):
+    # every (v, b) pair is scored on the first seed's rotations, and that
+    # seed's entry of the seed spread is the (v1, v1_prime) pair's estimate
+    batches = []
+    original = modelgeom._haar_batch
+
+    def counting(rng, n, count):
+        batches.append(count)
+        return original(rng, n, count)
+
+    monkeypatch.setattr(modelgeom, "_haar_batch", counting)
+    code, out, _err = run(capsys, "verify", "--n", "8", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    expected = len(payload["seeds"]) * math.ceil(payload["samples"] / modelgeom._CHUNK)
+    assert len(batches) == expected == 5
+    assert payload["max_ratio_by_seed"][0] == payload["max_ratio_per_pair"]["v1_prime"]
 
 
 def test_verify_bad_n(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, helmert
 
+from rootmatch import modelgeom
 from rootmatch.errors import (
     BNotInQError,
     EpsilonTooLargeError,
@@ -16,6 +17,7 @@ from rootmatch.errors import (
 from rootmatch.framematrix import random_frames
 from rootmatch.modelgeom import (
     ModelSpace,
+    _batched_ratios,
     _exp_skew,
     _haar_batch,
     _rationalize_flat,
@@ -23,7 +25,6 @@ from rootmatch.modelgeom import (
     diagonal_exact,
     exact_commutator,
     first_order_gram_coefficient,
-    haar_rotation,
     min_bracket_gain,
     pipeline_flat,
     pipeline_perturbed,
@@ -32,6 +33,7 @@ from rootmatch.modelgeom import (
     ratio_angles,
     rotation_generator_exact,
     sample_ratio,
+    sample_ratios,
     snap_to_singular,
     stabilizer_generators,
     stabilizer_rotation,
@@ -41,6 +43,12 @@ from rootmatch.modelgeom import (
 from rootmatch.rootdata import space
 
 MODEL4 = ModelSpace(4)
+
+
+def haar_rotation(n, seed):
+    """One Haar rotation from SO(n), reproducible from the seed: the first
+    of a seeded ``_haar_batch``."""
+    return _haar_batch(np.random.default_rng(seed), n, 1)[0]
 
 
 def random_rationals(rng, n):
@@ -291,6 +299,66 @@ def test_sample_ratio_contract():
     assert longer.max_ratio >= est.max_ratio  # prefix property
     with pytest.raises(BNotInQError):
         sample_ratio(MODEL4, (1, 1, -1, -1), MODEL4.b_matrix(0, 1), 100, 1)
+
+
+def _verify_pairs(n):
+    """The (v, b) pairs ``rootmatch verify`` scores: each vector of a
+    seeded singular frame with both of its doubled members."""
+    model = ModelSpace(n)
+    frame = random_frames(space(f"SL({n},R)"), 1, seed=1, singular_fraction=1.0)[0].vectors
+    flat = pipeline_flat(model, frame)
+    pairs = [(v, b) for i, v in enumerate(frame) for b in (flat.primed[i], flat.double_primed[i])]
+    return model, pairs
+
+
+@pytest.mark.parametrize("samples", [700, 4500])  # 4500: two full chunks and a partial one
+@pytest.mark.parametrize("n", [4, 8])
+def test_sample_ratios_equal_lone_calls(n, samples):
+    model, pairs = _verify_pairs(n)
+    shared = sample_ratios(model, pairs, samples, 3)
+    assert len(shared) == len(pairs) == 2 * (n - 1)
+    for (v, b), est in zip(pairs, shared):
+        alone = sample_ratio(model, v, b, samples, 3)
+        assert est.max_ratio == alone.max_ratio
+        assert est.zero_denominator_count == alone.zero_denominator_count
+        assert (est.samples, est.seed) == (samples, 3)
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_sample_ratios_check_every_pair_before_drawing(monkeypatch, position):
+    _model, pairs = _verify_pairs(4)
+    bad = ((1, 1, -1, -1), MODEL4.b_matrix(0, 1))
+    at = {"first": 0, "middle": len(pairs) // 2, "last": len(pairs)}[position]
+    draws = []
+    monkeypatch.setattr(modelgeom, "_haar_batch", lambda *args: draws.append(args))
+    with pytest.raises(BNotInQError):
+        sample_ratios(MODEL4, pairs[:at] + [bad] + pairs[at:], 100, 1)
+    assert draws == []
+
+
+def test_pipeline_flat_ratio_is_max_of_lone_calls():
+    frame = [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)]
+    out = pipeline_flat(MODEL4, frame, ratio_samples=500, seed=2)
+    lone = [
+        sample_ratio(MODEL4, v, b, 500, 2).max_ratio
+        for i, v in enumerate(frame)
+        for b in (out.primed[i], out.double_primed[i])
+    ]
+    assert out.ratio_estimate == max(lone)
+
+
+def test_pipeline_perturbed_ratio_is_max_of_lone_calls():
+    frame, u = random_perturbation_case(MODEL4, 3)
+    eps = 1e-3
+    out = pipeline_perturbed(MODEL4, frame, u, eps, ratio_samples=500, seed=2)
+    h = _exp_skew(eps * u)
+    v_mats = [h @ np.diag(np.asarray(w, dtype=float)) @ h.T for w in frame]
+    lone = [
+        _batched_ratios(MODEL4, [(b, vm)], 500, 2)[0].max_ratio
+        for i, vm in enumerate(v_mats)
+        for b in (out.primed[i], out.double_primed[i])
+    ]
+    assert out.ratio_estimate == max(lone)
 
 
 def test_snap_regular_unchanged():
