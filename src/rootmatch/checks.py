@@ -1,11 +1,14 @@
-"""The acceptance checks, one function each, shared by ``rootmatch all``
-and ``tests/test_acceptance.py``.
+"""The acceptance checks, one function each, shared by ``rootmatch all``,
+``rootmatch verify`` and ``tests/test_acceptance.py``.
 
 Every check takes the four inputs of ``rootmatch all`` and returns a
 line of evidence; on the first failure it raises ``CheckFailedError``
 with the failing detail.  ``--seeds`` picks the fuzz corpus (its first
 seed) and the ratio-sample seeds; every other random instance is fixed
-below, so the defaults run exactly the acceptance suite.
+below, so the defaults run exactly the acceptance suite.  The checks of
+criteria 8-10 judge each instance through a ``judge_*`` function, which
+``rootmatch verify`` calls on its own instance, and ``run`` runs named
+checks for both commands.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import CheckFailedError, NoMatchingError
 from .framematrix import build_matrix, make_frame, random_frames, verify_properties
 from .matcher import greedy_match, oracle_match, validate
 from .modelgeom import (
+    DoubledFrame,
     ModelSpace,
     RatioEstimate,
     diagonal_exact,
@@ -244,43 +249,65 @@ def ratio_estimate(samples: int, seed: int) -> RatioEstimate:
     return sample_ratio(model, (1, 1, 1, -3), model.b_matrix(0, 3), samples, seed)
 
 
-def ratio_stability(inputs: Inputs) -> str:
-    """Criterion 8: the sampled angle ratio is finite, positive and within 2x across seeds."""
-    estimates = [ratio_estimate(inputs.samples, s).max_ratio for s in inputs.seeds]
+def judge_seed_spread(estimates: Sequence[float], samples: int) -> str:
+    """Criterion 8's verdict on one estimate per seed: all finite and
+    positive, and the largest below twice the smallest."""
     if not all(np.isfinite(e) and e > 0 for e in estimates):
         raise CheckFailedError(f"estimates {estimates}")
     lo, hi = min(estimates), max(estimates)
     if hi >= 2.0 * lo:
         raise CheckFailedError(f"estimates [{lo:.3f}, {hi:.3f}] spread 2x or more")
-    return f"{len(estimates)} seeds x {inputs.samples} samples in [{lo:.3f}, {hi:.3f}]"
+    return f"{len(estimates)} seeds x {samples} samples in [{lo:.3f}, {hi:.3f}]"
+
+
+def ratio_stability(inputs: Inputs) -> str:
+    """Criterion 8: the sampled angle ratio is finite, positive and within 2x across seeds."""
+    estimates = [ratio_estimate(inputs.samples, s).max_ratio for s in inputs.seeds]
+    return judge_seed_spread(estimates, inputs.samples)
+
+
+def judge_doubled_frame(model: ModelSpace, out: DoubledFrame) -> str:
+    """Criterion 9's verdict on one doubled frame: 2k distinct members,
+    each unit and perpendicular to the flat, and Gram deviation at most 1e-12."""
+    n, members = model.n, out.members()
+    if len(members) != 2 * model.rank or len({id(m) for m in members}) != 2 * model.rank:
+        raise CheckFailedError(f"n={n}: {len(members)} members, not 2k distinct")
+    if out.gram_deviation > 1e-12:
+        raise CheckFailedError(f"n={n}: Gram deviation {out.gram_deviation:.3e}")
+    flat_basis = model.flat_basis()
+    for member in members:
+        if abs(trace_inner(member, member) - 1.0) > 1e-12 or any(
+            abs(trace_inner(member, f)) > 1e-12 for f in flat_basis
+        ):
+            raise CheckFailedError(f"n={n}: member not unit or not perp to the flat")
+    return f"{len(members)} members, Gram deviation {out.gram_deviation:.1e}"
 
 
 def flat_pipeline(inputs: Inputs) -> str:
-    """Criterion 9: 2k orthonormal members, all perpendicular to the flat, on
+    """Criterion 9: every doubled frame passes ``judge_doubled_frame``, on
     30 frames at each n = 4, 5, 6, regular and singular frames among them."""
     frames = 0
     for n in (4, 5, 6):
         model = ModelSpace(n)
-        sl = space(f"SL({n},R)")
-        flat_basis = model.flat_basis()
         weights = set()
-        for frame in random_frames(sl, 30, seed=PIPELINE_SEED):
-            out = pipeline_flat(model, frame.vectors)
-            members = out.members()
-            if len(members) != 2 * sl.rank or len({id(m) for m in members}) != 2 * sl.rank:
-                raise CheckFailedError(f"n={n}: {len(members)} members, not 2k distinct")
-            if out.gram_deviation > 1e-12:
-                raise CheckFailedError(f"n={n}: Gram deviation {out.gram_deviation:.3e}")
-            for member in members:
-                if abs(trace_inner(member, member) - 1.0) > 1e-12 or any(
-                    abs(trace_inner(member, f)) > 1e-12 for f in flat_basis
-                ):
-                    raise CheckFailedError(f"n={n}: member not unit or not perp to the flat")
+        for frame in random_frames(space(f"SL({n},R)"), 30, seed=PIPELINE_SEED):
+            judge_doubled_frame(model, pipeline_flat(model, frame.vectors))
             weights.add(min(build_matrix(frame).row_weights))
             frames += 1
         if len(weights) < 2:
             raise CheckFailedError(f"n={n}: regular and singular frames must both occur")
     return f"{frames} frames at n=4,5,6"
+
+
+def judge_quotients(quotients: Sequence[float], where: str) -> float:
+    """Criterion 10's verdict on one perturbation case's Gram deviation / eps
+    quotients: none zero, and a spread of at most 10x, which it returns."""
+    if min(quotients) <= 0:
+        raise CheckFailedError(f"{where}: zero Gram deviation")
+    spread = max(quotients) / min(quotients)
+    if spread > 10.0:
+        raise CheckFailedError(f"{where}: quotient spread {spread:.2f}")
+    return spread
 
 
 def eps_linear_scaling(inputs: Inputs) -> str:
@@ -293,13 +320,21 @@ def eps_linear_scaling(inputs: Inputs) -> str:
         quotients = [
             pipeline_perturbed(model, frame, u, eps).gram_deviation / eps for eps in inputs.epsilons
         ]
-        if min(quotients) <= 0:
-            raise CheckFailedError(f"case {seed}: zero Gram deviation")
-        spread = max(quotients) / min(quotients)
-        if spread > 10.0:
-            raise CheckFailedError(f"case {seed}: quotient spread {spread:.2f}")
-        worst = max(worst, spread)
+        worst = max(worst, judge_quotients(quotients, f"case {seed}"))
     return f"{len(EPS_CASES)} cases, worst quotient spread {worst:.2f}"
+
+
+def run(named: Iterable[tuple[str, Callable[[], str]]]) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) for each named check, in order: its evidence,
+    or the detail of its ``CheckFailedError``; a failure does not stop the
+    checks after it."""
+    results = []
+    for name, check in named:
+        try:
+            results.append((name, True, check()))
+        except CheckFailedError as exc:
+            results.append((name, False, str(exc)))
+    return results
 
 
 ALL = (

@@ -155,7 +155,6 @@ class SelectionMatrix:
     cols: int
     masks: tuple[int, ...]
     col_labels: tuple[tuple[Root, int], ...]
-    row_labels: tuple[int, ...]
     entries: InitVar[Optional[Sequence[Sequence[int]]]] = _Entries()
 
     def __post_init__(self, entries):
@@ -182,7 +181,6 @@ class SelectionMatrix:
             cols=width,
             masks=masks,
             col_labels=tuple(col_labels),
-            row_labels=tuple(range(len(masks))),
         )
 
     @property
@@ -232,7 +230,6 @@ def build_matrix(frame: FrameSpec) -> SelectionMatrix:
         cols=len(labels),
         masks=tuple(masks),
         col_labels=labels,
-        row_labels=tuple(range(len(masks))),
     )
 
 

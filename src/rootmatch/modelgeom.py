@@ -238,42 +238,6 @@ def ratio_angles(
     return num, den
 
 
-def _batched_ratios(
-    model: ModelSpace,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    samples: int,
-    seed: int,
-    floor: float = 1e-6,
-) -> list[RatioEstimate]:
-    """Max over Haar rotations h of angle(h.num, Fperp) / angle(h.den, F),
-    one estimate per (num, den) pair, all pairs scored on the same draws.
-
-    Chunks of fixed size keep the sample stream a prefix of any longer
-    run on the same seed, so estimates are nondecreasing in the sample
-    count.  Each pair goes through its own ``ratio_angles`` call on each
-    chunk, so its estimate is bit for bit the one it gets alone.
-    """
-    rng = np.random.default_rng(seed)
-    units = [
-        (num / np.sqrt(trace_inner(num, num)), den / np.sqrt(trace_inner(den, den)))
-        for num, den in pairs
-    ]
-    best = [0.0] * len(units)
-    zeros = [0] * len(units)
-    done = 0
-    while done < samples:
-        size = min(_CHUNK, samples - done)
-        hs = _haar_batch(rng, model.n, size)
-        for k, (num_mat, den_mat) in enumerate(units):
-            num, den = ratio_angles(num_mat, den_mat, hs)
-            keep = den >= floor
-            zeros[k] += int((~keep).sum())
-            if keep.any():
-                best[k] = max(best[k], float((num[keep] / den[keep]).max()))
-        done += size
-    return [RatioEstimate(b, z, samples, seed) for b, z in zip(best, zeros)]
-
-
 def sample_ratios(
     model: ModelSpace,
     pairs: Sequence[tuple[Sequence[Rat], np.ndarray]],
@@ -287,8 +251,13 @@ def sample_ratios(
     (checked to 1e-10, for every pair before any draw).  Samples whose
     denominator angle falls below 1e-6 are excluded and counted
     separately.
+
+    Chunks of fixed size keep the sample stream a prefix of any longer
+    run on the same seed, so estimates are nondecreasing in the sample
+    count.  Each pair goes through its own ``ratio_angles`` call on each
+    chunk, so its estimate is bit for bit the one it gets alone.
     """
-    mats = []
+    units = []
     for v, b in pairs:
         q_basis = q_subspace(model, v)
         b_norm = np.sqrt(trace_inner(b, b))
@@ -298,8 +267,26 @@ def sample_ratios(
         residual = unit - sum(trace_inner(unit, q) * q for q in q_basis)
         if np.sqrt(max(trace_inner(residual, residual), 0.0)) > 1e-10:
             raise BNotInQError("b has a component outside Q_v")
-        mats.append((unit, model.diag_matrix([float(Fraction(x)) for x in v])))
-    return _batched_ratios(model, mats, samples, seed)
+        den = model.diag_matrix([float(Fraction(x)) for x in v])
+        # the unit b is divided by its norm once more: the estimates' last bits depend on it
+        units.append(
+            (unit / np.sqrt(trace_inner(unit, unit)), den / np.sqrt(trace_inner(den, den)))
+        )
+    rng = np.random.default_rng(seed)
+    best = [0.0] * len(units)
+    zeros = [0] * len(units)
+    done = 0
+    while done < samples:
+        size = min(_CHUNK, samples - done)
+        hs = _haar_batch(rng, model.n, size)
+        for k, (num_mat, den_mat) in enumerate(units):
+            num, den = ratio_angles(num_mat, den_mat, hs)
+            keep = den >= 1e-6
+            zeros[k] += int((~keep).sum())
+            if keep.any():
+                best[k] = max(best[k], float((num[keep] / den[keep]).max()))
+        done += size
+    return [RatioEstimate(m, z, samples, seed) for m, z in zip(best, zeros)]
 
 
 def sample_ratio(
@@ -374,7 +361,6 @@ class DoubledFrame:
     primed: tuple[np.ndarray, ...]
     double_primed: tuple[np.ndarray, ...]
     gram_deviation: float
-    ratio_estimate: float | None
     match: MatchResult
     trace: AlgoTrace
     snapped_frame: tuple[tuple[Fraction, ...], ...]
@@ -417,17 +403,12 @@ def _column_b(model: ModelSpace, matrix, col: int) -> np.ndarray:
 def pipeline_flat(
     model: ModelSpace,
     frame: Sequence[Sequence[Rat]],
-    *,
-    ratio_samples: int = 0,
-    seed: int = 1,
 ) -> DoubledFrame:
     """Double an exact spanning frame of the flat into b-vectors.
 
     Builds the selection matrix, runs the greedy matching, and maps the
     chosen columns to their b_ij matrices.  The members are exactly
-    orthonormal and orthogonal to the flat.  ``ratio_samples > 0`` also
-    estimates the angle-ratio constant over every (v_i, output) pair, all
-    on the same rotations of ``seed``.
+    orthonormal and orthogonal to the flat.
     """
     vectors = [tuple(_to_exact(x) for x in v) for v in frame]
     space = _sl_space(model.n)
@@ -441,16 +422,10 @@ def pipeline_flat(
         raise MatchFailedError(f"no column matching: {exc}") from exc
     primed = tuple(_column_b(model, matrix, j) for j, _ in result.pairs)
     double_primed = tuple(_column_b(model, matrix, k) for _, k in result.pairs)
-    gram = _gram_deviation(list(primed) + list(double_primed))
-    ratio = None
-    if ratio_samples > 0:
-        pairs = [(v, out) for i, v in enumerate(vectors) for out in (primed[i], double_primed[i])]
-        ratio = max(est.max_ratio for est in sample_ratios(model, pairs, ratio_samples, seed))
     return DoubledFrame(
         primed=primed,
         double_primed=double_primed,
-        gram_deviation=gram,
-        ratio_estimate=ratio,
+        gram_deviation=_gram_deviation(list(primed) + list(double_primed)),
         match=result,
         trace=trace,
         snapped_frame=tuple(tuple(Fraction(x) for x in v) for v in vectors),
@@ -500,9 +475,6 @@ def pipeline_perturbed(
     frame: Sequence[Sequence[float]],
     u: np.ndarray,
     eps: float,
-    *,
-    ratio_samples: int = 0,
-    seed: int = 1,
 ) -> DoubledFrame:
     """Double a frame conjugated off the flat by exp(eps * u).
 
@@ -554,16 +526,10 @@ def pipeline_perturbed(
     double_primed = tuple(
         r @ w @ r.T for r, w in zip(rotations, flat_frame.double_primed)
     )
-    gram = _gram_deviation(list(primed) + list(double_primed))
-    ratio = None
-    if ratio_samples > 0:
-        pairs = [(out, vm) for i, vm in enumerate(v_mats) for out in (primed[i], double_primed[i])]
-        ratio = max(est.max_ratio for est in _batched_ratios(model, pairs, ratio_samples, seed))
     return DoubledFrame(
         primed=primed,
         double_primed=double_primed,
-        gram_deviation=gram,
-        ratio_estimate=ratio,
+        gram_deviation=_gram_deviation(list(primed) + list(double_primed)),
         match=flat_frame.match,
         trace=flat_frame.trace,
         snapped_frame=tuple(snapped_exact),

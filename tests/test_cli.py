@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import rootmatch
-from rootmatch import checks, modelgeom
+from rootmatch import checks, cli, modelgeom
 from rootmatch.cli import main
 from rootmatch.errors import CheckFailedError
 
@@ -313,8 +315,11 @@ def test_verify_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["checks"]["flat_gram_below_cap"] is True
-    assert payload["checks"]["eps_scaling_spread_within_10x"] is True
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("flat_pipeline", True),
+        ("ratio_stability", True),
+        ("eps_linear_scaling", True),
+    ]
 
 
 def test_verify_draws_each_seed_once(capsys, monkeypatch):
@@ -334,6 +339,81 @@ def test_verify_draws_each_seed_once(capsys, monkeypatch):
     expected = len(payload["seeds"]) * math.ceil(payload["samples"] / modelgeom._CHUNK)
     assert len(batches) == expected == 5
     assert payload["max_ratio_by_seed"][0] == payload["max_ratio_per_pair"]["v1_prime"]
+
+
+def test_verify_reports_every_epsilon(capsys):
+    # 1e-3 and 0.0010000001 print alike under "%g" but are two sweep points
+    code, out, _err = run(
+        capsys, "verify", "--n", "4", "--samples", "200", "--epsilon", "1e-3,0.0010000001", "--json"
+    )
+    payload = json.loads(out)
+    assert list(payload["gram_deviation_by_epsilon"]) == ["0.001", "0.0010000001"]
+    assert code == (0 if payload["passed"] else 1)
+
+
+def test_verify_judges_a_zero_gram_deviation_and_runs_the_rest(capsys, monkeypatch):
+    def flat_deviation(model, frame, u, eps):
+        return SimpleNamespace(gram_deviation=0.0)
+
+    monkeypatch.setattr(cli, "pipeline_perturbed", flat_deviation)
+    code, out, _err = run(capsys, "verify", "--n", "4", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("flat_pipeline", True),
+        ("ratio_stability", True),
+        ("eps_linear_scaling", False),
+    ]
+    assert payload["checks"][2]["detail"] == "case 1: zero Gram deviation"
+
+
+def test_verify_judges_the_seed_spread(capsys, monkeypatch):
+    # every seed's estimate is the first seed's, and the last seed's is 3x
+    original = cli.sample_ratio
+
+    def planted(model, v, b, samples, seed):
+        first = original(model, v, b, samples, 1)
+        return dataclasses.replace(first, max_ratio=first.max_ratio * (3 if seed == 3 else 1))
+
+    monkeypatch.setattr(cli, "sample_ratio", planted)
+    code, out, _err = run(
+        capsys, "verify", "--n", "4", "--samples", "500", "--seeds", "1,2,3", "--json"
+    )
+    assert code == 1
+    checks_by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks_by_name["ratio_stability"]["passed"] is False
+    assert checks_by_name["ratio_stability"]["detail"].endswith("spread 2x or more")
+    assert checks_by_name["flat_pipeline"]["passed"] is True
+    assert checks_by_name["eps_linear_scaling"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "plant, detail",
+    [
+        (lambda out: {"primed": (2.0 * out.primed[0],) + out.primed[1:]}, "member not unit"),
+        (lambda out: {"primed": (out.double_primed[0],) + out.primed[1:]}, "6 members, not 2k"),
+        (lambda out: {"double_primed": out.double_primed[:-1]}, "4 members, not 2k"),
+        (lambda out: {"gram_deviation": 1e-9}, "Gram deviation 1.000e-09"),
+    ],
+    ids=["non_unit", "repeated", "short", "gram"],
+)
+def test_flat_judge_rejects_a_planted_member(plant, detail):
+    model = modelgeom.ModelSpace(4)
+    out = modelgeom.pipeline_flat(model, [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    assert checks.judge_doubled_frame(model, out) == "6 members, Gram deviation 0.0e+00"
+    with pytest.raises(CheckFailedError, match=f"^n=4: {detail}"):
+        checks.judge_doubled_frame(model, dataclasses.replace(out, **plant(out)))
+
+
+def test_verify_text_ends_with_the_check_lines_of_all(capsys):
+    argv = ["verify", "--n", "4", "--samples", "500", "--seeds", "1,2"]
+    code, text, _err = run(capsys, *argv)
+    _code, out, _err = run(capsys, *argv, "--json")
+    assert code == 0
+    report = json.loads(out)["checks"]
+    tail = [f"PASS  {c['name']}  ({c['detail']})" for c in report] + ["PASS"]
+    assert text.splitlines()[-len(tail):] == tail
 
 
 def test_verify_bad_n(capsys):

@@ -17,7 +17,6 @@ from rootmatch.errors import (
 from rootmatch.framematrix import random_frames
 from rootmatch.modelgeom import (
     ModelSpace,
-    _batched_ratios,
     _exp_skew,
     _haar_batch,
     _rationalize_flat,
@@ -336,31 +335,6 @@ def test_sample_ratios_check_every_pair_before_drawing(monkeypatch, position):
     assert draws == []
 
 
-def test_pipeline_flat_ratio_is_max_of_lone_calls():
-    frame = [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)]
-    out = pipeline_flat(MODEL4, frame, ratio_samples=500, seed=2)
-    lone = [
-        sample_ratio(MODEL4, v, b, 500, 2).max_ratio
-        for i, v in enumerate(frame)
-        for b in (out.primed[i], out.double_primed[i])
-    ]
-    assert out.ratio_estimate == max(lone)
-
-
-def test_pipeline_perturbed_ratio_is_max_of_lone_calls():
-    frame, u = random_perturbation_case(MODEL4, 3)
-    eps = 1e-3
-    out = pipeline_perturbed(MODEL4, frame, u, eps, ratio_samples=500, seed=2)
-    h = _exp_skew(eps * u)
-    v_mats = [h @ np.diag(np.asarray(w, dtype=float)) @ h.T for w in frame]
-    lone = [
-        _batched_ratios(MODEL4, [(b, vm)], 500, 2)[0].max_ratio
-        for i, vm in enumerate(v_mats)
-        for b in (out.primed[i], out.double_primed[i])
-    ]
-    assert out.ratio_estimate == max(lone)
-
-
 def test_snap_regular_unchanged():
     w = np.asarray([0.8, 0.1, -0.35, -0.55])
     w /= np.linalg.norm(w)
@@ -521,15 +495,6 @@ def test_pipeline_flat_members_perp_to_flat():
 def test_pipeline_flat_needs_spanning():
     with pytest.raises(InvalidParamsError):
         pipeline_flat(MODEL4, [(1, -1, 0, 0), (2, -2, 0, 0), (0, 0, 1, -1)])
-
-
-def test_pipeline_flat_ratio_estimate():
-    out = pipeline_flat(
-        MODEL4, [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)], ratio_samples=500
-    )
-    assert out.ratio_estimate is not None
-    assert np.isfinite(out.ratio_estimate)
-    assert out.ratio_estimate > 0
 
 
 def test_perturbed_zero_eps_reduces_to_flat():
