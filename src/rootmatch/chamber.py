@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ExcludedSpaceError, ZeroVectorError
+from .errors import ExcludedSpaceError
 from .exact import Rat, dot, primitive_integer, solve_unique_many
 from .rootdata import (
     KTYPE_SO,
@@ -22,6 +22,7 @@ from .rootdata import (
     RootSystem,
     SpaceDescriptor,
     evaluate_root,
+    flat_row,
 )
 
 
@@ -124,13 +125,14 @@ def stabilizer_codim(space: SpaceDescriptor, v: list[Rat] | tuple[Rat, ...]) -> 
     """Total multiplicity of the positive roots not vanishing on ``v``.
 
     This equals dim K - dim K_v for the stabilizer K_v of the vector.
+    ``v`` is checked by ``rootdata.flat_row``.
     """
-    if not any(Fraction(x) != 0 for x in v):
-        raise ZeroVectorError("stabilizer codimension needs a nonzero vector")
+    row = flat_row(v, space.coord_dim, space.rootsys.family == "A")
+    # a root vanishes on v exactly when it vanishes on the integer row
     return sum(
         root.multiplicity
         for root in space.rootsys.positives
-        if evaluate_root(root, v) != 0
+        if evaluate_root(root, row) != 0
     )
 
 

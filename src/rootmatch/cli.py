@@ -174,6 +174,12 @@ def cmd_matrix(args) -> tuple[int, str]:
     matrix = build_matrix(frame)
     if args.json:
         obj = {
+            "subcommand": "matrix",
+            "version": __version__,
+            "inputs_digest": _digest(
+                {"space": args.space, "frame": [[str(x) for x in v] for v in frame.vectors]}
+            ),
+            "spanning": frame.spanning,
             "rows": matrix.rows,
             "cols": matrix.cols,
             "entries": [list(r) for r in matrix.entries],
@@ -185,6 +191,7 @@ def cmd_matrix(args) -> tuple[int, str]:
         return 0, _json_report(obj)
     labels = [column_label(root, slot) for root, slot in matrix.col_labels]
     lines = [f"selection matrix for {space.name}: {matrix.rows} x {matrix.cols}"]
+    lines.append(f"frame spans: {'yes' if frame.spanning else 'no'}")
     lines.append("columns: " + " ".join(labels))
     for i, row in enumerate(matrix.entries):
         lines.append(f"row {i}: " + " ".join(str(x) for x in row))

@@ -27,21 +27,18 @@ _EXACT = {int, Fraction}
 def integer_row(row: Sequence[Rat]) -> list[int]:
     """Scale a row by the lcm of its denominators: an integer row on the same ray.
 
-    A row of ints is copied; a row holding any rational other than ints
-    and Fractions goes through ``Fraction(x)`` first, then ``scaled_row``.
+    This is how a vector of the flat is read (``rootdata.flat_row``): a
+    row of ints is copied; any entry other than an int or a Fraction goes
+    through ``Fraction(x)`` first, as a frame file's entries do.  The
+    scaling runs on the ``as_integer_ratio()`` pairs with one lcm, and
+    entries come out as Python ints, also where the input held numpy
+    integers, which would wrap around in the elimination.
     """
     types = set(map(type, row))
     if types <= _INT:
         return list(row)
-    return scaled_row(row if types <= _EXACT else list(map(Fraction, row)))
-
-
-def scaled_row(row: Sequence[Rat]) -> list[int]:
-    """``integer_row`` of a row of ints and Fractions, through their
-    ``as_integer_ratio()`` pairs and one lcm.  Entries come out as Python
-    ints, also where a numerator is a numpy integer, which would wrap
-    around in the elimination.
-    """
+    if not types <= _EXACT:
+        row = list(map(Fraction, row))
     ratios = [x.as_integer_ratio() for x in row]
     scale = lcm(*[d for _, d in ratios])
     return [int(n) * (scale // d) for n, d in ratios]

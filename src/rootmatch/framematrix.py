@@ -20,18 +20,15 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     EmptyFrameError,
     ExcludedSpaceError,
     FrameFileError,
     InvalidParamsError,
     MalformedMatrixError,
-    NotInFlatError,
     RootmatchError,
-    ZeroVectorError,
 )
-from .exact import Rat, integer_rank, integer_row, scaled_row
-from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor
+from .exact import Rat, integer_rank, integer_row
+from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor, flat_row
 
 Vector = tuple[Rat, ...]
 
@@ -56,17 +53,11 @@ class FrameSpec:
         return tuple(tuple(integer_row(v)) for v in self.vectors)
 
 
-_INT = {int}
-_EXACT = {int, Fraction}
-
-
 def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> FrameSpec:
-    """A checked frame.  Vector by vector: its length, then that it is
-    nonzero, then (A family) that it sums to zero; then whether the frame
-    spans.  A vector of ints and Fractions is scaled to integers first and
-    the checks read that row.  Other entries (floats, numpy integers, ...)
-    are converted only by the first check that needs them, the trace
-    check or the rank, so a float nan raises where it always has.
+    """A checked frame: each vector in turn through ``rootdata.flat_row``
+    (its length, its entries read by ``Fraction(x)`` unless ints, nonzero,
+    and for the A family a zero coordinate sum), then whether the frame
+    spans, from the rank of the integer rows that ``flat_row`` returns.
     """
     vecs = tuple(map(tuple, vectors))
     if not vecs:
@@ -77,27 +68,7 @@ def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> Fram
         )
     traceless = space.rootsys.family == "A"
     dim = space.coord_dim
-    rows: list[Optional[tuple[int, ...]]] = []
-    for v in vecs:
-        if len(v) != dim:
-            raise DimensionMismatchError(
-                f"frame vector length {len(v)} != coordinate dimension {dim}"
-            )
-        types = set(map(type, v))
-        if types <= _EXACT:
-            row = v if types <= _INT else tuple(scaled_row(v))
-            if not any(row):
-                raise ZeroVectorError("frame vectors must be nonzero")
-        else:
-            if not any(x != 0 for x in v):
-                raise ZeroVectorError("frame vectors must be nonzero")
-            row = tuple(integer_row(v)) if traceless else None
-        if traceless and sum(row):
-            raise NotInFlatError("A-family frame vectors must have zero coordinate sum")
-        rows.append(row)
-    if None in rows:
-        rows = [tuple(integer_row(v)) if row is None else row for v, row in zip(vecs, rows)]
-    ints = tuple(rows)
+    ints = tuple(flat_row(v, dim, traceless) for v in vecs)
     spanning = integer_rank(ints) == min(len(vecs), space.rank)
     frame = FrameSpec(vectors=vecs, space=space, spanning=spanning)
     frame.__dict__["integer_vectors"] = ints  # fills the cached property

@@ -40,9 +40,6 @@ class MatchResult:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def columns(self) -> list[int]:
-        return [c for pair in self.pairs for c in pair]
-
 
 @dataclass(frozen=True)
 class StageRecord:

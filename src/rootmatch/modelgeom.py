@@ -25,13 +25,12 @@ from .errors import (
     MatchFailedError,
     NoMatchingError,
     NonOrthonormalBasisError,
-    NotInFlatError,
     ZeroVectorError,
 )
 from .exact import Rat
 from .framematrix import build_matrix, make_frame
 from .matcher import AlgoTrace, MatchResult, greedy_match
-from .rootdata import space as catalogue_space
+from .rootdata import flat_row, space as catalogue_space
 
 
 def trace_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -162,14 +161,9 @@ def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 
 
 def _exact_entries(v: Sequence[Rat], n: int) -> list[Fraction]:
-    if len(v) != n:
-        raise InvalidParamsError(f"vector length {len(v)} != model size {n}")
-    fr = [Fraction(x) for x in v]
-    if not any(fr):
-        raise ZeroVectorError("need a nonzero vector in the flat")
-    if sum(fr) != 0:
-        raise NotInFlatError("flat vectors must have zero coordinate sum")
-    return fr
+    """The entries of a vector that passes ``flat_row`` for the n x n model."""
+    flat_row(v, n, traceless=True)
+    return [Fraction(x) for x in v]
 
 
 def q_subspace(model: ModelSpace, v: Sequence[Rat]) -> list[np.ndarray]:
@@ -372,16 +366,6 @@ class DoubledFrame:
         return out
 
 
-def _to_exact(x) -> Rat:
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (float, np.floating)):
-        return Fraction(float(x))
-    raise InvalidParamsError(f"cannot interpret {type(x).__name__} as an exact number")
-
-
 def _gram_deviation(members: Sequence[np.ndarray]) -> float:
     worst = 0.0
     for a in range(len(members)):
@@ -410,9 +394,8 @@ def pipeline_flat(
     chosen columns to their b_ij matrices.  The members are exactly
     orthonormal and orthogonal to the flat.
     """
-    vectors = [tuple(_to_exact(x) for x in v) for v in frame]
-    space = _sl_space(model.n)
-    frame_spec = make_frame(space, vectors)
+    frame_spec = make_frame(_sl_space(model.n), frame)
+    vectors = frame_spec.vectors
     if len(vectors) != model.rank or not frame_spec.spanning:
         raise InvalidParamsError("flat pipeline needs a spanning frame of rank vectors")
     matrix = build_matrix(frame_spec)
@@ -580,7 +563,7 @@ def first_order_gram_coefficient(
     maximum absolute derivative over cross pairs predicts whether the
     deviation scales linearly or degenerates to quadratic.
     """
-    exact = [tuple(Fraction(_to_exact(x)) for x in v) for v in frame]
+    exact = [tuple(Fraction(x) for x in v) for v in frame]
     flat = pipeline_flat(model, exact)
     k = len(exact)
     projections = [_stabilizer_projection(model, v, u) for v in exact]
@@ -597,11 +580,11 @@ def first_order_gram_coefficient(
     return worst
 
 
+_MIN_LINEAR_COEFFICIENT = 0.02
+
+
 def random_perturbation_case(
-    model: ModelSpace,
-    seed: int,
-    *,
-    min_linear_coefficient: float = 0.02,
+    model: ModelSpace, seed: int
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """A seeded (frame, u) pair exercising the perturbed pipeline.
 
@@ -609,11 +592,11 @@ def random_perturbation_case(
     share one of n-1 jittered equispaced values, so after normalization
     every other wall stays several snap radii away.  The remaining
     vectors are completed orthonormally and u is a unit rotation
-    generator.  Draws whose first-order Gram coefficient vanishes are
-    rejected: a wall vector whose doubled members span a
-    stabilizer-invariant plane sees no linear term, and a fully regular
-    frame degenerates to quadratic, so such cases say nothing about
-    linear scaling.
+    generator.  Draws whose first-order Gram coefficient is below
+    ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose doubled
+    members span a stabilizer-invariant plane sees no linear term, and a
+    fully regular frame degenerates to quadratic, so such cases say
+    nothing about linear scaling.
     """
     rng = np.random.default_rng(seed)
     n = model.n
@@ -658,7 +641,7 @@ def random_perturbation_case(
             coefficient = first_order_gram_coefficient(model, exact, u)
         except (MatchFailedError, InvalidParamsError):
             continue
-        if coefficient < min_linear_coefficient:
+        if coefficient < _MIN_LINEAR_COEFFICIENT:
             continue
         return tuple(basis), u
     raise RuntimeError("could not sample a perturbation case")

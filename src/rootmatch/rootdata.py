@@ -17,10 +17,12 @@ from typing import Mapping, Sequence
 from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
+    NotInFlatError,
     UnknownFamilyError,
     UnknownSpaceError,
+    ZeroVectorError,
 )
-from .exact import Rat
+from .exact import Rat, integer_row
 
 FAMILIES = ("A", "B", "C", "D", "BC")
 
@@ -193,6 +195,26 @@ def evaluate_root(root: Root, v: Sequence[Rat]) -> Rat:
             f"vector has length {len(v)}, root expects {len(root.coords)}"
         )
     return sum(c * x for c, x in zip(root.coords, v) if c)
+
+
+def flat_row(v: Sequence[Rat], dim: int, traceless: bool) -> Sequence[int]:
+    """The checks on one vector of the flat, shared by every layer that
+    takes one; returns the integer row on the same ray.
+
+    In order: the length is ``dim``; the entries are read by
+    ``exact.integer_row`` (ints as they are, anything else through
+    ``Fraction(x)``); the vector is nonzero; and, when ``traceless`` (A
+    family), its coordinates sum to zero.  A vector of ints is returned
+    as it is, any other as a tuple.
+    """
+    if len(v) != dim:
+        raise DimensionMismatchError(f"vector length {len(v)} != coordinate dimension {dim}")
+    row = v if set(map(type, v)) <= {int} else tuple(integer_row(v))
+    if not any(row):
+        raise ZeroVectorError("need a nonzero vector in the flat")
+    if traceless and sum(row):
+        raise NotInFlatError("A-family flat vectors must have zero coordinate sum")
+    return row
 
 
 @dataclass(frozen=True)

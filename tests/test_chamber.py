@@ -181,6 +181,12 @@ def test_stabilizer_codim_examples():
         stabilizer_codim(space("SL(4,R)"), (0, 0, 0, 0))
 
 
+def test_stabilizer_codim_reads_entries_by_fraction():
+    sl4 = space("SL(4,R)")
+    assert stabilizer_codim(sl4, ("1", "1", "1", "-3")) == 3
+    assert stabilizer_codim(sl4, ("1/2", "1/2", "1/2", "-3/2")) == 3
+
+
 def test_bounds_pass_all_spaces():
     for s in catalogue():
         if s.excluded:

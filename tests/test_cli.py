@@ -90,6 +90,28 @@ def test_matrix_subcommand(tmp_path, capsys):
     assert payload["col_labels"][0]["label"] == "e1-e2"
 
 
+def test_matrix_reports_its_inputs_and_whether_the_frame_spans(tmp_path, capsys):
+    reports = {}
+    for name, text, spans in (
+        ("wall", WALL_FRAME, True),
+        ("parallel", '[["1","-1","0","0"],["2","-2","0","0"]]', False),
+    ):
+        frame = tmp_path / f"{name}.json"
+        frame.write_text(text)
+        argv = ["matrix", "--space", "SL(4,R)", "--frame", str(frame)]
+        code, out, _err = run(capsys, *argv, "--json")
+        assert code == 0
+        payload = reports[name] = json.loads(out)
+        assert payload["subcommand"] == "matrix"
+        assert payload["version"] == rootmatch.__version__
+        assert payload["spanning"] is spans
+        code, out, _err = run(capsys, *argv)
+        assert code == 0
+        assert f"frame spans: {'yes' if spans else 'no'}" in out.splitlines()
+    assert reports["parallel"]["rows"] == 2
+    assert reports["wall"]["inputs_digest"] != reports["parallel"]["inputs_digest"]
+
+
 def test_matrix_bad_frame_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _out, err = run(

@@ -708,7 +708,7 @@ MAKE_FRAME_CASES = {
         [(INF, 1, 0, 0)],
         [(Decimal("1.5"), Decimal("-1.5"), 0, 0)],
         [(True, False, False, -1)],
-        [("0", "0", "0", "0")],  # strings: nonzero to !=, zero to Fraction
+        [("0", "0", "0", "0")],  # strings: zero to Fraction
         [(0, 0, 0, 0), (1, 2, 3)],
         [(1, 2, 3), (0, 0, 0, 0)],
         [(1, 1, 1, 1), (0, 0, 0, 0)],
@@ -718,12 +718,23 @@ MAKE_FRAME_CASES = {
     ],
     "Sp(4,R)": [
         [(1, 2), (3, 4)],
-        [(NAN, 1), (0, 0)],  # the zero vector is found before the nan
+        [(NAN, 1), (0, 0)],  # the nan is read before the later zero vector
         [(NAN, 1), (1, 2)],
-        [(INF, 1), (1,)],  # the short vector is found before the inf
+        [(INF, 1), (1,)],  # the inf is read before the later short vector
         [(Fraction(1, 3), 0.25), (BIG, BIG)],
         [(BIG, BIG), (np.int64(2**61) * 2, BIG)],
     ],
+}
+
+
+# Cases where make_frame now differs from the former checks by design:
+# each vector is read in full by Fraction(x) (rootdata.flat_row) before
+# the next vector is looked at, so a zero of strings is a zero vector and
+# a nan or inf raises at its own vector.
+CHANGED_OUTCOMES = {
+    ("SL(4,R)", 12): ZeroVectorError,  # was accepted, a frame with a zero row
+    ("Sp(4,R)", 1): ValueError,  # was ZeroVectorError from the later vector
+    ("Sp(4,R)", 3): OverflowError,  # was DimensionMismatchError from the later vector
 }
 
 
@@ -734,7 +745,7 @@ MAKE_FRAME_CASES = {
 def test_make_frame_matches_former_checks(name, index):
     s = space(name)
     vectors = MAKE_FRAME_CASES[name][index]
-    expected = _make_outcome(_old_make_frame, s, vectors)
+    expected = CHANGED_OUTCOMES.get((name, index)) or _make_outcome(_old_make_frame, s, vectors)
     got = _make_outcome(make_frame, s, vectors)
     if isinstance(expected, bool):
         assert got.spanning is expected

@@ -8,6 +8,7 @@ from scipy.linalg import expm, helmert
 from rootmatch import modelgeom
 from rootmatch.errors import (
     BNotInQError,
+    DimensionMismatchError,
     EpsilonTooLargeError,
     InvalidParamsError,
     NonOrthonormalBasisError,
@@ -585,3 +586,9 @@ def test_first_order_coefficient_predicts_slope():
     eps = 1e-5
     dev = pipeline_perturbed(MODEL4, frame, u, eps).gram_deviation
     assert dev / eps == pytest.approx(coefficient, rel=0.05)
+
+
+@pytest.mark.parametrize("entry", [q_subspace, stabilizer_generators, min_bracket_gain])
+def test_a_short_vector_is_a_dimension_mismatch(entry):
+    with pytest.raises(DimensionMismatchError):
+        entry(MODEL4, (1, -1, 0))

@@ -5,12 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rootmatch.chamber import stabilizer_codim
 from rootmatch.errors import (
     DimensionMismatchError,
     InvalidParamsError,
+    NotInFlatError,
     UnknownFamilyError,
     UnknownSpaceError,
+    ZeroVectorError,
 )
+from rootmatch.framematrix import make_frame
+from rootmatch.modelgeom import ModelSpace, pipeline_flat, q_subspace
 from rootmatch.rootdata import (
     KTYPE_OTHER,
     KTYPE_SO,
@@ -21,6 +26,7 @@ from rootmatch.rootdata import (
     catalogue,
     dimension_errors,
     evaluate_root,
+    flat_row,
     space,
 )
 
@@ -194,3 +200,43 @@ def test_weyl_stability_sampled():
             for w in image:
                 neg = tuple(-x for x in w)
                 assert w in pos or neg in pos
+
+
+def test_flat_row_returns_the_integer_row_on_the_same_ray():
+    ints = (1, 1, 1, -3)
+    assert flat_row(ints, 4, traceless=True) is ints
+    assert flat_row((Fraction(1, 2), "1/2", 0.5, np.int64(-3) / 2), 4, True) == ints
+    assert flat_row([2, 0, 0], 3, traceless=False) == [2, 0, 0]
+
+
+# Every layer that takes one vector of the SL(4,R) flat gives it one
+# outcome: the checks of flat_row, in its order.
+FLAT_VECTORS = [
+    (("0", "0", "0", "0"), ZeroVectorError),
+    ((1, 0, 0, 0), NotInFlatError),
+    (("1", "1", "1", "-3"), None),
+    ((1, -1, 0), DimensionMismatchError),
+]
+
+
+def _first_of_a_frame(v):
+    return pipeline_flat(ModelSpace(4), [v, (-3, 1, 1, 1), (1, -1, 1, -1)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda v: make_frame(space("SL(4,R)"), [v]),
+        lambda v: q_subspace(ModelSpace(4), v),
+        lambda v: stabilizer_codim(space("SL(4,R)"), v),
+        _first_of_a_frame,
+    ],
+    ids=["make_frame", "q_subspace", "stabilizer_codim", "pipeline_flat"],
+)
+@pytest.mark.parametrize("v, error", FLAT_VECTORS, ids=["zero", "off_flat", "strings", "short"])
+def test_every_layer_checks_a_flat_vector_the_same_way(entry, v, error):
+    if error is None:
+        entry(v)
+    else:
+        with pytest.raises(error):
+            entry(v)
