@@ -47,7 +47,6 @@ from .rootdata import (
     SpaceDescriptor,
     build_root_system,
     catalogue,
-    evaluate_root,
     space,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "SpaceDescriptor",
     "build_root_system",
     "catalogue",
-    "evaluate_root",
     "space",
     "__version__",
 ]

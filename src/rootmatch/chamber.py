@@ -2,8 +2,10 @@
 
 A face class is indexed by a subset S of the simple roots; its vanishing
 set is the set of positive roots lying in span(S), and its codimension
-is the total multiplicity of the surviving roots.  One exact rational
-witness vector is produced per face from the fundamental coweights.
+is the total multiplicity of the surviving roots.  Its witness is the
+sum of the fundamental coweights outside S, and both are read from the
+witness's ``RootSystem.row_masks`` mask, as is the codimension of any
+flat vector.
 """
 
 from __future__ import annotations
@@ -14,14 +16,13 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ExcludedSpaceError
-from .exact import Rat, dot, primitive_integer, solve_unique_many
+from .exact import Rat, primitive_integer, solve_unique_many
 from .rootdata import (
     KTYPE_SO,
     KTYPE_SO_PAIR,
     Root,
     RootSystem,
     SpaceDescriptor,
-    evaluate_root,
     flat_row,
 )
 
@@ -88,33 +89,29 @@ def enumerate_faces(space: SpaceDescriptor) -> list[FaceClass]:
     # same rays, so sums of them keep the rays of the rational sums
     scale = lcm(*(x.denominator for w in coweights for x in w))
     scaled = [[int(x * scale) for x in w] for w in coweights]
-    # the coefficient of simple root j in a root is its pairing with
-    # coweight j; a root lies in span(S) exactly when its support mask
-    # is contained in the mask of S
-    masks = [
-        sum(1 << j for j, w in enumerate(scaled) if dot(root.coords, w))
-        for root in rootsys.positives
-    ]
-    total = rootsys.total_multiplicity
     rank = rootsys.rank
-    faces = []
+    sums = []
     for smask in range(1 << rank):
-        subset = tuple(i for i in range(rank) if smask >> i & 1)
-        vanishing = tuple(
-            root
-            for root, rmask in zip(rootsys.positives, masks)
-            if rmask & ~smask == 0
-        )
-        codim = total - sum(r.multiplicity for r in vanishing)
         acc = [0] * rootsys.coord_dim
         for i in range(rank):
             if not smask >> i & 1:
                 acc = [a + x for a, x in zip(acc, scaled[i])]
+        sums.append(acc)
+    # the witness of S sums the coweights outside S and a positive root
+    # has nonnegative simple coefficients, so a root vanishes on it
+    # exactly when it lies in span(S)
+    first_columns = [c for c, (_root, slot) in enumerate(rootsys.column_labels) if slot == 1]
+    faces = []
+    for smask, (acc, mask) in enumerate(zip(sums, rootsys.row_masks(sums))):
         faces.append(
             FaceClass(
-                simple_subset=subset,
-                vanishing=vanishing,
-                codim=codim,
+                simple_subset=tuple(i for i in range(rank) if smask >> i & 1),
+                vanishing=tuple(
+                    root
+                    for root, c in zip(rootsys.positives, first_columns)
+                    if not mask >> c & 1
+                ),
+                codim=mask.bit_count(),
                 witness=primitive_integer(acc),
             )
         )
@@ -128,12 +125,7 @@ def stabilizer_codim(space: SpaceDescriptor, v: list[Rat] | tuple[Rat, ...]) -> 
     ``v`` is checked by ``rootdata.flat_row``.
     """
     row = flat_row(v, space.coord_dim, space.rootsys.family == "A")
-    # a root vanishes on v exactly when it vanishes on the integer row
-    return sum(
-        root.multiplicity
-        for root in space.rootsys.positives
-        if evaluate_root(root, row) != 0
-    )
+    return space.rootsys.row_masks([row])[0].bit_count()
 
 
 @dataclass(frozen=True)

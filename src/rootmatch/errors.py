@@ -36,7 +36,9 @@ class EmptyFrameError(RootmatchError):
 
 
 class NotInFlatError(RootmatchError):
-    """Vector does not lie in the flat (nonzero trace for an A-family space)."""
+    """Vector does not lie in the flat: an entry that is no rational number
+    (nan, inf, None, a string that is no number), or a nonzero trace for
+    an A-family space."""
 
 
 class MalformedMatrixError(RootmatchError):

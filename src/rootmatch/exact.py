@@ -14,12 +14,6 @@ from typing import Sequence, Union
 Rat = Union[int, Fraction]
 
 
-def dot(x: Sequence[Rat], y: Sequence[Rat]) -> Rat:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch in exact dot product")
-    return sum(a * b for a, b in zip(x, y))
-
-
 _INT = {int}
 _EXACT = {int, Fraction}
 
@@ -89,21 +83,15 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def solve_unique(
-    rows: Sequence[Sequence[Rat]], rhs: Sequence[Rat]
-) -> tuple[Fraction, ...]:
-    """Solve a consistent rational system with a unique solution.
+def solve_unique_many(
+    rows: Sequence[Sequence[Rat]], rhss: Sequence[Sequence[Rat]]
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Solve a consistent rational system with a unique solution, for
+    several right-hand sides in one elimination.
 
     Accepts more equations than unknowns; raises ``ValueError`` when the
     system is inconsistent or underdetermined.
     """
-    return solve_unique_many(rows, [rhs])[0]
-
-
-def solve_unique_many(
-    rows: Sequence[Sequence[Rat]], rhss: Sequence[Sequence[Rat]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """``solve_unique`` for several right-hand sides, in one elimination."""
     m = len(rows)
     if any(len(rhs) != m for rhs in rhss):
         raise ValueError("system shape mismatch")

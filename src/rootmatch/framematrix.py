@@ -163,43 +163,17 @@ def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     """Build the selection matrix of a frame.
 
     Each frame vector is read as its integer vector on the same ray
-    (``frame.integer_vectors``), which keeps every root's zero pattern.
-    Every root vanishes exactly on one coordinate equality (v_i = v_j,
-    v_i = -v_j or v_i = 0), so a row is the full mask less the masks of
-    the roots whose equality the vector meets, found by grouping its
-    coordinates by value.
+    (``frame.integer_vectors``), which keeps every root's zero pattern,
+    and its row is that vector's ``RootSystem.row_masks`` mask.
     """
     space = frame.space
-    rootsys = space.rootsys
-    minus, plus, axis = rootsys.zero_masks
-    labels = rootsys.column_labels
-    full = (1 << len(labels)) - 1
-    masks = []
-    for row in frame.integer_vectors:
-        at: dict[int, list[int]] = {}  # coordinate value -> indices so far
-        vanishing = 0
-        for i, x in enumerate(row):
-            if not x:
-                vanishing |= axis[i]
-            opposite = at.get(-x)  # for x == 0, the earlier zeros
-            if opposite:
-                plus_i = plus[i]
-                for j in opposite:
-                    vanishing |= plus_i[j]
-            equal = at.get(x)
-            if equal is None:
-                at[x] = [i]
-            else:
-                minus_i = minus[i]
-                for j in equal:
-                    vanishing |= minus_i[j]
-                equal.append(i)
-        masks.append(full & ~vanishing)
+    labels = space.rootsys.column_labels
+    masks = space.rootsys.row_masks(frame.integer_vectors)
     return SelectionMatrix(
         space=space,
         rows=len(masks),
         cols=len(labels),
-        masks=tuple(masks),
+        masks=masks,
         col_labels=labels,
     )
 

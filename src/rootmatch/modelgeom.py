@@ -30,7 +30,7 @@ from .errors import (
 from .exact import Rat
 from .framematrix import build_matrix, make_frame
 from .matcher import AlgoTrace, MatchResult, greedy_match
-from .rootdata import flat_row, space as catalogue_space
+from .rootdata import build_root_system, flat_row, space as catalogue_space
 
 
 def trace_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -45,8 +45,10 @@ class ModelSpace:
             raise InvalidParamsError("model needs n >= 2")
         self.n = n
         self.rank = n - 1
+        # column c of an SL(n,R) selection matrix is pairs[c] and fperp_basis()[c]
+        self.rootsys = build_root_system("A", n - 1)
         self.pairs: tuple[tuple[int, int], ...] = tuple(
-            itertools.combinations(range(n), 2)
+            root.support for root in self.rootsys.positives
         )
 
     @property
@@ -160,22 +162,22 @@ def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 # Invariant complements and stabilizers of flat vectors.
 
 
-def _exact_entries(v: Sequence[Rat], n: int) -> list[Fraction]:
-    """The entries of a vector that passes ``flat_row`` for the n x n model."""
-    flat_row(v, n, traceless=True)
-    return [Fraction(x) for x in v]
+def _row_mask(model: ModelSpace, v: Sequence[Rat]) -> int:
+    """The columns (bit c for ``model.pairs[c]``) of the roots e_i - e_j
+    not vanishing on a vector that passes ``flat_row`` for the model."""
+    return model.rootsys.row_masks([flat_row(v, model.n, traceless=True)])[0]
 
 
 def q_subspace(model: ModelSpace, v: Sequence[Rat]) -> list[np.ndarray]:
     """Orthonormal basis {b_ij : v_i != v_j} of the complement Q_v."""
-    fr = _exact_entries(v, model.n)
-    return [model.b_matrix(i, j) for i, j in model.pairs if fr[i] != fr[j]]
+    mask = _row_mask(model, v)
+    return [b for c, b in enumerate(model.fperp_basis()) if mask >> c & 1]
 
 
 def stabilizer_generators(model: ModelSpace, v: Sequence[Rat]) -> list[np.ndarray]:
     """Rotation generators {k_ij : v_i = v_j} of the stabilizer of v."""
-    fr = _exact_entries(v, model.n)
-    return [model.k_matrix(i, j) for i, j in model.pairs if fr[i] == fr[j]]
+    mask = _row_mask(model, v)
+    return [model.k_matrix(i, j) for c, (i, j) in enumerate(model.pairs) if not mask >> c & 1]
 
 
 def _exp_skew(a: np.ndarray) -> np.ndarray:
@@ -378,12 +380,6 @@ def _sl_space(n: int):
     return catalogue_space(f"SL({n},R)")
 
 
-def _column_b(model: ModelSpace, matrix, col: int) -> np.ndarray:
-    root = matrix.col_labels[col][0]
-    i, j = root.support
-    return model.b_matrix(i, j)
-
-
 def pipeline_flat(
     model: ModelSpace,
     frame: Sequence[Sequence[Rat]],
@@ -403,8 +399,9 @@ def pipeline_flat(
         result, trace = greedy_match(matrix)
     except NoMatchingError as exc:
         raise MatchFailedError(f"no column matching: {exc}") from exc
-    primed = tuple(_column_b(model, matrix, j) for j, _ in result.pairs)
-    double_primed = tuple(_column_b(model, matrix, k) for _, k in result.pairs)
+    basis = model.fperp_basis()
+    primed = tuple(basis[j] for j, _ in result.pairs)
+    double_primed = tuple(basis[k] for _, k in result.pairs)
     return DoubledFrame(
         primed=primed,
         double_primed=double_primed,
@@ -526,11 +523,9 @@ def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
     to the normalized generators k_ij/sqrt(2) with a_i != a_j.  Reported
     only; no bound is asserted.
     """
-    fr = _exact_entries(a, model.n)
-    cross = [(i, j) for i, j in model.pairs if fr[i] != fr[j]]
-    if not cross:
-        return 0.0
-    a_mat = model.diag_matrix([float(x) for x in fr])
+    mask = _row_mask(model, a)
+    cross = [(i, j) for c, (i, j) in enumerate(model.pairs) if mask >> c & 1]
+    a_mat = model.diag_matrix([Fraction(x) for x in a])
     cols = []
     for i, j in cross:
         k = model.k_matrix(i, j) / np.sqrt(2.0)
@@ -539,12 +534,12 @@ def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
     return float(np.linalg.svd(stacked, compute_uv=False).min())
 
 
-def _stabilizer_projection(model: ModelSpace, v: Sequence[Fraction], u: np.ndarray) -> np.ndarray:
-    """Component of a rotation generator inside the stabilizer algebra of v."""
-    fr = [Fraction(x) for x in v]
+def _stabilizer_projection(model: ModelSpace, mask: int, u: np.ndarray) -> np.ndarray:
+    """Component of a rotation generator inside the stabilizer algebra of
+    a vector with row mask ``mask``."""
     proj = np.zeros((model.n, model.n))
-    for i, j in model.pairs:
-        if fr[i] == fr[j]:
+    for c, (i, j) in enumerate(model.pairs):
+        if not mask >> c & 1:
             khat = model.k_matrix(i, j) / np.sqrt(2.0)
             proj += float(np.sum(u * khat)) * khat
     return proj
@@ -566,7 +561,7 @@ def first_order_gram_coefficient(
     exact = [tuple(Fraction(x) for x in v) for v in frame]
     flat = pipeline_flat(model, exact)
     k = len(exact)
-    projections = [_stabilizer_projection(model, v, u) for v in exact]
+    projections = [_stabilizer_projection(model, mask, u) for mask in flat.trace.rows]
     comm = lambda a, b: a @ b - b @ a
     worst = 0.0
     for i in range(k):

@@ -107,6 +107,42 @@ class RootSystem:
                 raise InvalidParamsError(f"root {c} is not c(e_i - e_j), c(e_i + e_j) or c e_i")
         return tuple(map(tuple, minus)), tuple(map(tuple, plus)), tuple(axis)
 
+    def row_masks(self, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """For each integer row, the mask of the columns whose root does
+        not vanish on it: the one test of root vanishing.
+
+        Every root vanishes exactly on one coordinate equality (v_i = v_j,
+        v_i = -v_j or v_i = 0), so a mask is the full mask less the
+        ``zero_masks`` of the equalities the row meets, found by grouping
+        its coordinates by value.  Each bit stands for one multiplicity
+        slot, so a mask's ``bit_count()`` is the total multiplicity of the
+        roots that do not vanish.
+        """
+        minus, plus, axis = self.zero_masks
+        full = (1 << len(self.column_labels)) - 1
+        masks = []
+        for row in rows:
+            at: dict[int, list[int]] = {}  # coordinate value -> indices so far
+            vanishing = 0
+            for i, x in enumerate(row):
+                if not x:
+                    vanishing |= axis[i]
+                opposite = at.get(-x)  # for x == 0, the earlier zeros
+                if opposite:
+                    plus_i = plus[i]
+                    for j in opposite:
+                        vanishing |= plus_i[j]
+                equal = at.get(x)
+                if equal is None:
+                    at[x] = [i]
+                else:
+                    minus_i = minus[i]
+                    for j in equal:
+                        vanishing |= minus_i[j]
+                    equal.append(i)
+            masks.append(full & ~vanishing)
+        return tuple(masks)
+
 
 def _unit(dim: int, i: int, value: int = 1) -> list[int]:
     v = [0] * dim
@@ -188,28 +224,23 @@ def build_root_system(
     return RootSystem(family, rank, tuple(roots))
 
 
-def evaluate_root(root: Root, v: Sequence[Rat]) -> Rat:
-    """Exact value of the root functional on a vector of the flat."""
-    if len(v) != len(root.coords):
-        raise DimensionMismatchError(
-            f"vector has length {len(v)}, root expects {len(root.coords)}"
-        )
-    return sum(c * x for c, x in zip(root.coords, v) if c)
-
-
 def flat_row(v: Sequence[Rat], dim: int, traceless: bool) -> Sequence[int]:
     """The checks on one vector of the flat, shared by every layer that
     takes one; returns the integer row on the same ray.
 
     In order: the length is ``dim``; the entries are read by
     ``exact.integer_row`` (ints as they are, anything else through
-    ``Fraction(x)``); the vector is nonzero; and, when ``traceless`` (A
-    family), its coordinates sum to zero.  A vector of ints is returned
-    as it is, any other as a tuple.
+    ``Fraction(x)``; an entry that is no rational number, such as nan,
+    inf, None or ``"1/0"``, raises ``NotInFlatError``); the vector is
+    nonzero; and, when ``traceless`` (A family), its coordinates sum to
+    zero.  A vector of ints is returned as it is, any other as a tuple.
     """
     if len(v) != dim:
         raise DimensionMismatchError(f"vector length {len(v)} != coordinate dimension {dim}")
-    row = v if set(map(type, v)) <= {int} else tuple(integer_row(v))
+    try:
+        row = v if set(map(type, v)) <= {int} else tuple(integer_row(v))
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise NotInFlatError(f"entry is not a rational number: {exc}") from exc
     if not any(row):
         raise ZeroVectorError("need a nonzero vector in the flat")
     if traceless and sum(row):

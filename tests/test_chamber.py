@@ -10,7 +10,9 @@ from rootmatch.chamber import (
     verify_codim_bounds,
 )
 from rootmatch.errors import ExcludedSpaceError, ZeroVectorError
-from rootmatch.rootdata import catalogue, evaluate_root, space
+from rootmatch.rootdata import catalogue, space
+
+from oracles import evaluate_root
 
 
 def _face(space_, subset):
@@ -107,19 +109,25 @@ def test_witness_vanishing_pattern():
 
 
 def test_witness_codim_agreement():
-    # two code paths: mask arithmetic on the vanishing set vs direct
-    # evaluation on the witness vector
-    for name in ("SL(5,R)", "Sp(6,R)", "SO(3,5)", "SU(4,2)"):
-        s = space(name)
+    # independent oracle: the multiplicities of the roots that do not
+    # vanish on the witness, each evaluated on its own
+    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 8]
+    assert len(spaces) == 54
+    for s in spaces:
         for face in enumerate_faces(s):
             if any(face.witness):
-                assert stabilizer_codim(s, face.witness) == face.codim
+                expected = sum(
+                    root.multiplicity
+                    for root in s.rootsys.positives
+                    if evaluate_root(root, face.witness) != 0
+                )
+                assert stabilizer_codim(s, face.witness) == expected == face.codim
 
 
 def test_vanishing_sets_match_span_membership():
     # independent oracle: rational span membership by row reduction (a
     # root is in the span when adding it leaves the rank as it is),
-    # against the simple-coefficient masks used by enumerate_faces
+    # against the roots that vanish on the witness's row mask
     from rootmatch.exact import exact_rank
 
     for name in ("SL(4,R)", "Sp(6,R)", "SO(3,5)", "SU(3,2)"):

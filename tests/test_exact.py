@@ -6,21 +6,12 @@ import numpy as np
 import pytest
 
 from rootmatch.exact import (
-    dot,
     exact_rank,
     integer_rank,
     integer_rows,
     primitive_integer,
-    solve_unique,
     solve_unique_many,
 )
-
-
-def test_dot_exact():
-    assert dot((1, -1, 0), (5, 2, 9)) == 3
-    assert dot((Fraction(1, 2), 1), (1, Fraction(1, 3))) == Fraction(5, 6)
-    with pytest.raises(ValueError):
-        dot((1, 2), (1,))
 
 
 def test_rank_full_and_deficient():
@@ -90,28 +81,28 @@ def test_rank_against_fraction_oracle():
 
 
 def test_solve_unique_square():
-    sol = solve_unique([(2, 0), (1, 1)], (3, 1))
+    sol = solve_unique_many([(2, 0), (1, 1)], [(3, 1)])[0]
     assert sol == (Fraction(3, 2), Fraction(-1, 2))
 
 
 def test_solve_unique_overdetermined_consistent():
     # x = 1, y = 2 seen through three consistent equations
-    sol = solve_unique([(1, 0), (0, 1), (1, 1)], (1, 2, 3))
+    sol = solve_unique_many([(1, 0), (0, 1), (1, 1)], [(1, 2, 3)])[0]
     assert sol == (Fraction(1), Fraction(2))
 
 
 def test_solve_unique_errors():
     with pytest.raises(ValueError):
-        solve_unique([(1, 0), (1, 0)], (1, 2))  # inconsistent
+        solve_unique_many([(1, 0), (1, 0)], [(1, 2)])  # inconsistent
     with pytest.raises(ValueError):
-        solve_unique([(1, 1)], (1,))  # underdetermined
+        solve_unique_many([(1, 1)], [(1,)])  # underdetermined
 
 
 def test_solve_unique_many_matches_single_solves():
     rows = [(1, -1, 0), (0, 1, -1), (1, 1, 1), (2, 0, 0)]
     rhss = [(1, 0, 1, 2), (-1, 1, 1, 0), (-1, -1, 6, 2)]  # x = e1, e2, (1, 2, 3)
     assert solve_unique_many(rows, rhss) == ((1, 0, 0), (0, 1, 0), (1, 2, 3))
-    assert solve_unique_many(rows, rhss) == tuple(solve_unique(rows, b) for b in rhss)
+    assert solve_unique_many(rows, rhss) == tuple(solve_unique_many(rows, [b])[0] for b in rhss)
     with pytest.raises(ValueError):
         solve_unique_many(rows, [(1, 0, 1, 2), (0, 1, 0, 1)])  # second inconsistent
     with pytest.raises(ValueError):

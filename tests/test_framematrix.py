@@ -36,6 +36,8 @@ from rootmatch.framematrix import (
 )
 from rootmatch.rootdata import catalogue, space
 
+from oracles import evaluate_root
+
 SL4 = space("SL(4,R)")
 
 
@@ -138,8 +140,6 @@ def test_replace_entries_rebuilds_masks():
 
 def test_entries_match_per_root_evaluation():
     # independent oracle: rebuild every entry by direct root evaluation
-    from rootmatch.rootdata import evaluate_root
-
     for name in ("SL(5,R)", "SU(3,2)", "SO(2,4)"):
         s = space(name)
         for frame in random_frames(s, 20, seed=21):
@@ -151,8 +151,6 @@ def test_entries_match_per_root_evaluation():
 
 
 def _expected_entries(s, v):
-    from rootmatch.rootdata import evaluate_root
-
     value = {root: evaluate_root(root, v) for root in s.rootsys.positives}
     return tuple(1 if value[root] != 0 else 0 for root, _slot in s.rootsys.column_labels)
 
@@ -730,11 +728,14 @@ MAKE_FRAME_CASES = {
 # Cases where make_frame now differs from the former checks by design:
 # each vector is read in full by Fraction(x) (rootdata.flat_row) before
 # the next vector is looked at, so a zero of strings is a zero vector and
-# a nan or inf raises at its own vector.
+# a nan or inf is a NotInFlatError at its own vector.
 CHANGED_OUTCOMES = {
+    ("SL(4,R)", 8): NotInFlatError,  # was ValueError from Fraction(nan)
+    ("SL(4,R)", 9): NotInFlatError,  # was OverflowError from Fraction(inf)
     ("SL(4,R)", 12): ZeroVectorError,  # was accepted, a frame with a zero row
-    ("Sp(4,R)", 1): ValueError,  # was ZeroVectorError from the later vector
-    ("Sp(4,R)", 3): OverflowError,  # was DimensionMismatchError from the later vector
+    ("Sp(4,R)", 1): NotInFlatError,  # was ZeroVectorError from the later vector
+    ("Sp(4,R)", 2): NotInFlatError,  # was ValueError from Fraction(nan)
+    ("Sp(4,R)", 3): NotInFlatError,  # was DimensionMismatchError from the later vector
 }
 
 

@@ -181,6 +181,27 @@ def test_q_subspace_matches_selection_matrix_row():
         assert q_pairs == selected
 
 
+def _pair_of(matrix):
+    return tuple(int(i) for i in np.argwhere(matrix > 0)[0])
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_model_pairs_are_the_sl_columns(n):
+    # column c of SL(n,R)'s selection matrix is the model's pairs[c]; Q_v
+    # takes the pairs of the 1-bits of v's row, the stabilizer the rest
+    from rootmatch.framematrix import build_matrix
+
+    model = ModelSpace(n)
+    sl = space(f"SL({n},R)")
+    assert model.pairs == tuple(root.support for root, _slot in sl.rootsys.column_labels)
+    for frame in random_frames(sl, 20, seed=n):
+        for v, row in zip(frame.vectors, build_matrix(frame).entries):
+            q_pairs = tuple(p for p, bit in zip(model.pairs, row) if bit)
+            stabilizer_pairs = tuple(p for p, bit in zip(model.pairs, row) if not bit)
+            assert tuple(map(_pair_of, q_subspace(model, v))) == q_pairs
+            assert tuple(map(_pair_of, stabilizer_generators(model, v))) == stabilizer_pairs
+
+
 def test_stabilizer_generators_examples():
     gens = stabilizer_generators(MODEL4, (1, 1, -1, -1))
     assert len(gens) == 2

@@ -25,10 +25,11 @@ from rootmatch.rootdata import (
     build_root_system,
     catalogue,
     dimension_errors,
-    evaluate_root,
     flat_row,
     space,
 )
+
+from oracles import evaluate_root
 
 
 def test_a3_positive_roots_enumeration():
@@ -216,6 +217,12 @@ FLAT_VECTORS = [
     ((1, 0, 0, 0), NotInFlatError),
     (("1", "1", "1", "-3"), None),
     ((1, -1, 0), DimensionMismatchError),
+    # entries that are no rational number
+    ((float("nan"), 1, 0, -1), NotInFlatError),
+    ((float("inf"), 1, 0, -1), NotInFlatError),
+    (("abc", 1, 0, -1), NotInFlatError),
+    ((None, 1, 0, -1), NotInFlatError),
+    (("1/0", 1, 0, -1), NotInFlatError),
 ]
 
 
@@ -233,7 +240,11 @@ def _first_of_a_frame(v):
     ],
     ids=["make_frame", "q_subspace", "stabilizer_codim", "pipeline_flat"],
 )
-@pytest.mark.parametrize("v, error", FLAT_VECTORS, ids=["zero", "off_flat", "strings", "short"])
+@pytest.mark.parametrize(
+    "v, error",
+    FLAT_VECTORS,
+    ids=["zero", "off_flat", "strings", "short", "nan", "inf", "abc", "none", "one_over_zero"],
+)
 def test_every_layer_checks_a_flat_vector_the_same_way(entry, v, error):
     if error is None:
         entry(v)
