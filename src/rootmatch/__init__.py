@@ -31,7 +31,6 @@ from .modelgeom import (
     DoubledFrame,
     ModelSpace,
     RatioEstimate,
-    angle_to_subspace,
     min_bracket_gain,
     pipeline_flat,
     pipeline_perturbed,
@@ -75,7 +74,6 @@ __all__ = [
     "DoubledFrame",
     "ModelSpace",
     "RatioEstimate",
-    "angle_to_subspace",
     "min_bracket_gain",
     "pipeline_flat",
     "pipeline_perturbed",

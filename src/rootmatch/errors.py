@@ -57,10 +57,6 @@ class NoMatchingError(RootmatchError):
         self.trace = trace
 
 
-class NonOrthonormalBasisError(RootmatchError):
-    """Subspace basis fails the orthonormality tolerance."""
-
-
 class BNotInQError(RootmatchError):
     """Test direction lies outside the invariant complement Q_v."""
 

@@ -24,7 +24,6 @@ from .errors import (
     InvalidParamsError,
     MatchFailedError,
     NoMatchingError,
-    NonOrthonormalBasisError,
     ZeroVectorError,
 )
 from .exact import Rat
@@ -123,28 +122,7 @@ def exact_commutator(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]):
 
 
 # ---------------------------------------------------------------------------
-# Angles and Haar sampling.
-
-
-def angle_to_subspace(v: np.ndarray, basis: Sequence[np.ndarray]) -> float:
-    """Angle arccos(|proj| / |v|) between a vector and a subspace.
-
-    ``basis`` must be orthonormal for the trace form to within 1e-10.
-    """
-    norm = np.sqrt(trace_inner(v, v))
-    if norm < 1e-12:
-        raise ZeroVectorError("angle of the zero vector is undefined")
-    basis = list(basis)
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            expected = 1.0 if a == b else 0.0
-            if abs(trace_inner(basis[a], basis[b]) - expected) > 1e-10:
-                raise NonOrthonormalBasisError(
-                    f"basis Gram deviates at pair {(a, b)}"
-                )
-    proj_sq = sum(trace_inner(v, w) ** 2 for w in basis)
-    ratio = min(1.0, np.sqrt(max(proj_sq, 0.0)) / norm)
-    return float(np.arccos(ratio))
+# Haar sampling.
 
 
 def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -219,9 +197,9 @@ def ratio_angles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angles (to Fperp for num, to F for den) after conjugating by each rotation.
 
-    Both are arcsin of the complementary projection norm, which agrees
-    with ``angle_to_subspace`` and stays accurate near zero.  Inputs must
-    be unit for the trace form.
+    Both are the angle to the subspace, taken as the arcsin of the
+    complementary projection norm, which stays accurate near zero.
+    Inputs must be unit for the trace form.
     """
     # only the diagonals of h @ mat @ h.T are needed: (h @ mat)_ij * h_ij summed over j
     x_diag = np.einsum("bij,bij->bi", rotations @ num_mat, rotations)
@@ -246,13 +224,16 @@ def sample_ratios(
     Each ``v`` is an exact flat vector and its ``b`` must lie in Q_v
     (checked to 1e-10, for every pair before any draw).  Samples whose
     denominator angle falls below 1e-6 are excluded and counted
-    separately.
+    separately.  ``samples`` must be at least 1, so no estimate rests on
+    zero draws.
 
     Chunks of fixed size keep the sample stream a prefix of any longer
     run on the same seed, so estimates are nondecreasing in the sample
     count.  Each pair goes through its own ``ratio_angles`` call on each
     chunk, so its estimate is bit for bit the one it gets alone.
     """
+    if samples < 1:
+        raise InvalidParamsError("ratio sampling needs at least one sample")
     units = []
     for v, b in pairs:
         q_basis = q_subspace(model, v)
@@ -306,13 +287,17 @@ def snap_to_singular(
     """Most singular unit vector within eps0 of a unit flat vector.
 
     Candidate faces are the coordinate-equality subspaces; among those
-    whose distance to ``w_hat`` is at most eps0 the one killing the most
-    roots wins, ties going to the closer face.  The result is the
+    whose distance to ``w_hat`` is at most eps0 (which must be
+    nonnegative) the one killing the most roots wins.  The dynamic
+    program below keeps one closest face per vanishing count, so the
+    choice is read from its own squared distances.  The result is the
     normalized projection; a regular vector away from all walls comes
     back unchanged.
     """
     w = np.asarray([float(x) for x in w_hat], dtype=float)
     radius = model.epsilon_zero if eps0 is None else eps0
+    if not radius >= 0:
+        raise InvalidParamsError("snap radius must be nonnegative")
     # The closest face of each vanishing count groups the sorted coordinates
     # into intervals (Fisher 1958): per prefix of the sorted order and
     # vanishing count, keep the least squared distance and its blocks.
@@ -327,23 +312,15 @@ def snap_to_singular(
                 if sq + cost < best[end].get(vanishing + pairs, (np.inf,))[0]:
                     idx = np.sort(order[start:end])
                     best[end][vanishing + pairs] = (sq + cost, blocks + (idx,))
-    best_key = None
-    best_proj = None
-    for vanishing, (_sq, blocks) in best[-1].items():
-        proj = w.copy()
-        for idx in blocks:
-            proj[idx] = w[idx].mean()
-        dist = float(np.linalg.norm(w - proj))
-        if dist > radius:
-            continue
-        key = (-vanishing, dist)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_proj = proj
-    norm = float(np.linalg.norm(best_proj))
+    # the regular face has sq == 0.0 exactly, so some face is always in reach
+    vanishing = max(k for k, (sq, _) in best[-1].items() if np.sqrt(sq) <= radius)
+    proj = w.copy()
+    for idx in best[-1][vanishing][1]:
+        proj[idx] = w[idx].mean()
+    norm = float(np.linalg.norm(proj))
     if norm == 0.0:
         return w
-    return best_proj / norm
+    return proj / norm
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +441,7 @@ def pipeline_perturbed(
     of each perturbed vector.  The Gram deviation of the members scales
     linearly with eps.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidParamsError("eps must be nonnegative")
     if eps >= model.epsilon_zero:
         raise EpsilonTooLargeError(
@@ -517,31 +494,34 @@ def pipeline_perturbed(
 
 
 def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
-    """Smallest stretch of u -> [u, diag(a)] off the stabilizer algebra.
+    """Smallest stretch of u -> [u, diag(a)] off the stabilizer algebra:
+    the least gap |a_i - a_j| over the set bits of the row mask of a.
 
-    Measured as the least singular value of the bracket map restricted
-    to the normalized generators k_ij/sqrt(2) with a_i != a_j.  Reported
-    only; no bound is asserted.
+    The bracket identity [k_ij/sqrt(2), diag(a)] = (a_j - a_i) b_ij maps
+    the normalized generators with a_i != a_j to orthogonal images of
+    norm |a_i - a_j|, so the least singular value of the map is the
+    least of those gaps, taken exactly.  Reported only; no bound is
+    asserted.
     """
     mask = _row_mask(model, a)
-    cross = [(i, j) for c, (i, j) in enumerate(model.pairs) if mask >> c & 1]
-    a_mat = model.diag_matrix([Fraction(x) for x in a])
-    cols = []
-    for i, j in cross:
-        k = model.k_matrix(i, j) / np.sqrt(2.0)
-        cols.append((k @ a_mat - a_mat @ k).reshape(-1))
-    stacked = np.stack(cols, axis=1)
-    return float(np.linalg.svd(stacked, compute_uv=False).min())
+    exact = [Fraction(x) for x in a]
+    gaps = (abs(exact[i] - exact[j]) for c, (i, j) in enumerate(model.pairs) if mask >> c & 1)
+    return float(min(gaps))
 
 
 def _stabilizer_projection(model: ModelSpace, mask: int, u: np.ndarray) -> np.ndarray:
     """Component of a rotation generator inside the stabilizer algebra of
-    a vector with row mask ``mask``."""
+    a vector with row mask ``mask``.
+
+    The normalized generators k_ij/sqrt(2) are orthonormal with disjoint
+    supports, so this is the skew part (u - u.T)/2 at the entries (i, j)
+    and (j, i) of the clear bits, and zero elsewhere.
+    """
+    skew = (u - u.T) / 2.0
     proj = np.zeros((model.n, model.n))
     for c, (i, j) in enumerate(model.pairs):
         if not mask >> c & 1:
-            khat = model.k_matrix(i, j) / np.sqrt(2.0)
-            proj += float(np.sum(u * khat)) * khat
+            proj[i, j], proj[j, i] = skew[i, j], skew[j, i]
     return proj
 
 

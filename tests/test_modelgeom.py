@@ -11,7 +11,6 @@ from rootmatch.errors import (
     DimensionMismatchError,
     EpsilonTooLargeError,
     InvalidParamsError,
-    NonOrthonormalBasisError,
     NotInFlatError,
     ZeroVectorError,
 )
@@ -21,7 +20,7 @@ from rootmatch.modelgeom import (
     _exp_skew,
     _haar_batch,
     _rationalize_flat,
-    angle_to_subspace,
+    _stabilizer_projection,
     diagonal_exact,
     exact_commutator,
     first_order_gram_coefficient,
@@ -41,6 +40,8 @@ from rootmatch.modelgeom import (
     trace_inner,
 )
 from rootmatch.rootdata import space
+
+from oracles import angle_to_subspace, stabilizer_projection
 
 MODEL4 = ModelSpace(4)
 
@@ -111,7 +112,7 @@ def test_angle_errors():
     with pytest.raises(ZeroVectorError):
         angle_to_subspace(np.zeros((4, 4)), flat)
     skewed = [flat[0], flat[0] + 1e-5 * flat[1]]
-    with pytest.raises(NonOrthonormalBasisError):
+    with pytest.raises(ValueError):
         angle_to_subspace(MODEL4.b_matrix(0, 1), skewed)
 
 
@@ -345,6 +346,17 @@ def test_sample_ratios_equal_lone_calls(n, samples):
         assert (est.samples, est.seed) == (samples, 3)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sample_ratios_refuse_zero_evidence(monkeypatch, samples):
+    draws = []
+    monkeypatch.setattr(modelgeom, "_haar_batch", lambda *args: draws.append(args))
+    with pytest.raises(InvalidParamsError):
+        sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.b_matrix(0, 3), samples, 1)
+    with pytest.raises(InvalidParamsError):
+        sample_ratios(MODEL4, _verify_pairs(4)[1], samples, 1)
+    assert draws == []
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_sample_ratios_check_every_pair_before_drawing(monkeypatch, position):
     _model, pairs = _verify_pairs(4)
@@ -542,6 +554,23 @@ def test_perturbed_parameter_validation():
         pipeline_perturbed(MODEL4, frame, 3.0 * u, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda frame, u: pipeline_perturbed(MODEL4, frame, u, float("nan")),
+        lambda frame, u: snap_to_singular(MODEL4, frame[0], -0.1),
+        lambda frame, u: snap_to_singular(MODEL4, frame[0], float("nan")),
+    ],
+    ids=["eps-nan", "radius-negative", "radius-nan"],
+)
+def test_bad_perturbation_sizes_are_refused(call):
+    # nan passes neither eps < 0 nor eps > 0, so it must be refused as
+    # "not eps >= 0" rather than run as a zero perturbation
+    frame, u = random_perturbation_case(MODEL4, 1)
+    with pytest.raises(InvalidParamsError):
+        call(frame, u)
+
+
 def test_perturbed_gram_scales_linearly():
     frame, u = random_perturbation_case(MODEL4, 2)
     quotients = [
@@ -588,16 +617,45 @@ def test_conjugation_preserves_trace_form():
         assert lhs == pytest.approx(trace_inner(x, y), abs=1e-12)
 
 
+def _least_gap(a):
+    """float of the least nonzero gap |a_i - a_j|, taken in Fractions."""
+    exact = [Fraction(x) for x in a]
+    return float(min(abs(x - y) for i, x in enumerate(exact) for y in exact[i + 1 :] if x != y))
+
+
 def test_min_bracket_gain_matches_gap_formula():
     # independent oracle: singular values of the bracket map are the
     # coordinate gaps, so the smallest is the least cross-block gap
     a = (1, 1, 1, -3)
-    norm = np.linalg.norm(a)
-    assert min_bracket_gain(MODEL4, a) == pytest.approx(4.0, abs=1e-9)
+    assert min_bracket_gain(MODEL4, a) == 4.0
     b = (5, 2, -3, -4)
-    gaps = [abs(x - y) for i, x in enumerate(b) for y in b[i + 1 :]]
-    assert min_bracket_gain(MODEL4, b) == pytest.approx(min(gaps), abs=1e-9)
-    assert min_bracket_gain(MODEL4, (1, 1, -1, -1)) == pytest.approx(2.0, abs=1e-9)
+    assert min_bracket_gain(MODEL4, b) == _least_gap(b) == 1.0
+    assert min_bracket_gain(MODEL4, (1, 1, -1, -1)) == 2.0
+    third = Fraction(1, 3)
+    assert min_bracket_gain(MODEL4, (third, third, third, -1)) == 4 / 3
+    assert min_bracket_gain(MODEL4, ("1/7", "1/7", "-3/14", "-1/14")) == 1 / 7
+    rng = np.random.default_rng(13)
+    for t in range(200):
+        n = 3 + t % 6
+        # few numerators, so repeated entries (clear bits) are common
+        tops, bottoms = rng.integers(-3, 4, size=n), rng.integers(1, 5, size=n)
+        raw = [Fraction(int(p), int(q)) for p, q in zip(tops, bottoms)]
+        if len(set(raw)) == 1:
+            raw[0] += 1
+        mean = sum(raw) / n
+        a = [x - mean for x in raw]
+        assert min_bracket_gain(ModelSpace(n), a) == _least_gap(a), (t, a)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_stabilizer_projection_matches_generator_sum(n):
+    model = ModelSpace(n)
+    rng = np.random.default_rng(40 + n)
+    s = rng.standard_normal((n, n))
+    u = (s - s.T) / 2.0
+    for mask in range(1 << len(model.pairs)):
+        got = _stabilizer_projection(model, mask, u)
+        assert np.abs(got - stabilizer_projection(model, mask, u)).max() <= 1e-15, mask
 
 
 def test_first_order_coefficient_predicts_slope():
