@@ -56,7 +56,7 @@ for coeffs in 1.3 * np.eye(len(gens)):
 print("  worst flat component under stabilizer rotations:", worst)
 print()
 
-est = sample_ratio(model, v, model.b_matrix(0, 3), samples=20_000, seed=1)
+est = sample_ratio(model, v, model.pairs.index((0, 3)), samples=20_000, seed=1)
 print(
     f"sampled angle-ratio bound for b_14: max {est.max_ratio:.4f}"
     f" over {est.samples} rotations ({est.zero_denominator_count} degenerate skipped)"

@@ -246,7 +246,7 @@ def stabilizer_zero_case(inputs: Inputs) -> str:
 def ratio_estimate(samples: int, seed: int) -> RatioEstimate:
     """Criterion 8's estimate: direction b_14 at the SL(4,R) wall vector (1, 1, 1, -3)."""
     model = ModelSpace(4)
-    return sample_ratio(model, (1, 1, 1, -3), model.b_matrix(0, 3), samples, seed)
+    return sample_ratio(model, (1, 1, 1, -3), model.pairs.index((0, 3)), samples, seed)
 
 
 def judge_seed_spread(estimates: Sequence[float], samples: int) -> str:

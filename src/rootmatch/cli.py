@@ -345,11 +345,8 @@ def cmd_verify(args) -> tuple[int, str]:
     flat = pipeline_flat(model, frame)
     # every pair is scored on the same seeds[0] rotations; the first,
     # (v1, v1_prime), is also the first seed's entry of the seed spread
-    tags, pairs = [], []
-    for i, v in enumerate(frame):
-        for tag, mat in (("prime", flat.primed[i]), ("double_prime", flat.double_primed[i])):
-            tags.append(f"v{i + 1}_{tag}")
-            pairs.append((v, mat))
+    pairs = [(v, c) for v, row_pair in zip(frame, flat.match.pairs) for c in row_pair]
+    tags = [f"v{i + 1}_{tag}" for i in range(len(frame)) for tag in ("prime", "double_prime")]
     estimates = sample_ratios(model, pairs, args.samples, seeds[0])
     ratio_per_pair = {tag: est.max_ratio for tag, est in zip(tags, estimates)}
     ratio_by_seed = [ratio_per_pair["v1_prime"]]

@@ -12,6 +12,7 @@ over Haar-random rotations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,11 +21,12 @@ import numpy as np
 
 from .errors import (
     BNotInQError,
+    DimensionMismatchError,
     EpsilonTooLargeError,
     InvalidParamsError,
     MatchFailedError,
     NoMatchingError,
-    ZeroVectorError,
+    NotInFlatError,
 )
 from .exact import Rat
 from .framematrix import build_matrix, make_frame
@@ -74,9 +76,6 @@ class ModelSpace:
 
     def fperp_basis(self) -> list[np.ndarray]:
         return [self.b_matrix(i, j) for i, j in self.pairs]
-
-    def diag_matrix(self, vec: Sequence[float]) -> np.ndarray:
-        return np.diag(np.asarray([float(x) for x in vec], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -193,88 +192,83 @@ _CHUNK = 2000
 
 
 def ratio_angles(
-    num_mat: np.ndarray, den_mat: np.ndarray, rotations: np.ndarray
+    i: int, j: int, v_hat: np.ndarray, rotations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (to Fperp for num, to F for den) after conjugating by each rotation.
-
-    Both are the angle to the subspace, taken as the arcsin of the
-    complementary projection norm, which stays accurate near zero.
-    Inputs must be unit for the trace form.
+    """Angles of h.b_ij to Fperp and of h.diag(v_hat) to F for each rotation
+    h, ``v_hat`` a unit vector: the arcsin of the complementary projection
+    norm, accurate near zero.  The flat parts are the conjugates' diagonals,
+    sqrt(2) h_ki h_kj and sum_l h_kl^2 v_hat_l.
     """
-    # only the diagonals of h @ mat @ h.T are needed: (h @ mat)_ij * h_ij summed over j
-    x_diag = np.einsum("bij,bij->bi", rotations @ num_mat, rotations)
-    y_diag = np.einsum("bij,bij->bi", rotations @ den_mat, rotations)
-    num = np.arcsin(np.clip(np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
-    den_proj = np.sqrt(
-        np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0)
-    )
-    den = np.arcsin(den_proj)
+    x_diag = rotations[:, :, i] * rotations[:, :, j]
+    y_diag = (rotations * rotations) @ v_hat
+    num = np.arcsin(np.clip(np.sqrt(2.0) * np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
+    den = np.arcsin(np.sqrt(np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0)))
     return num, den
+
+
+def _as_int(x, what: str) -> int:
+    """``operator.index(x)``; a bool or a value without ``__index__`` is an
+    ``InvalidParamsError``."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise InvalidParamsError(f"{what} must be an integer, got {x!r}")
+    return operator.index(x)
 
 
 def sample_ratios(
     model: ModelSpace,
-    pairs: Sequence[tuple[Sequence[Rat], np.ndarray]],
+    pairs: Sequence[tuple[Sequence[Rat], int]],
     samples: int,
     seed: int,
 ) -> list[RatioEstimate]:
-    """Sampled bounds for angle(h.b, Fperp) <= C * angle(h.v, F), one per
-    (v, b) pair, every pair scored on the same Haar rotations.
+    """Sampled bounds for angle(h.b_c, Fperp) <= C * angle(h.v, F), one
+    per (v, c) pair, every pair scored on the same Haar rotations.
 
-    Each ``v`` is an exact flat vector and its ``b`` must lie in Q_v
-    (checked to 1e-10, for every pair before any draw).  Samples whose
-    denominator angle falls below 1e-6 are excluded and counted
-    separately.  ``samples`` must be at least 1, so no estimate rests on
-    zero draws.
+    Each ``v`` is an exact flat vector and ``c`` a column of the SL(n)
+    selection matrix (b_c is ``fperp_basis()[c]``) set in v's row mask,
+    so b_c lies in Q_v; every pair is checked before any draw.  Samples
+    whose denominator angle falls below 1e-6 are excluded and counted
+    separately.  ``samples`` is an integer of at least 1: no estimate
+    rests on zero draws.
 
     Chunks of fixed size keep the sample stream a prefix of any longer
     run on the same seed, so estimates are nondecreasing in the sample
     count.  Each pair goes through its own ``ratio_angles`` call on each
     chunk, so its estimate is bit for bit the one it gets alone.
     """
+    samples = _as_int(samples, "sample count")
     if samples < 1:
         raise InvalidParamsError("ratio sampling needs at least one sample")
     units = []
-    for v, b in pairs:
-        q_basis = q_subspace(model, v)
-        b_norm = np.sqrt(trace_inner(b, b))
-        if b_norm < 1e-12:
-            raise ZeroVectorError("b must be nonzero")
-        unit = b / b_norm
-        residual = unit - sum(trace_inner(unit, q) * q for q in q_basis)
-        if np.sqrt(max(trace_inner(residual, residual), 0.0)) > 1e-10:
-            raise BNotInQError("b has a component outside Q_v")
-        den = model.diag_matrix([float(Fraction(x)) for x in v])
-        # the unit b is divided by its norm once more: the estimates' last bits depend on it
-        units.append(
-            (unit / np.sqrt(trace_inner(unit, unit)), den / np.sqrt(trace_inner(den, den)))
-        )
+    for v, c in pairs:
+        c = _as_int(c, "column")
+        if c not in range(len(model.pairs)):
+            raise InvalidParamsError(f"column {c} is not one of the {len(model.pairs)} columns")
+        if not _row_mask(model, v) >> c & 1:
+            raise BNotInQError(f"b_{model.pairs[c]} lies outside Q_v")
+        w = np.asarray([float(Fraction(x)) for x in v])
+        units.append((*model.pairs[c], w / np.linalg.norm(w)))
     rng = np.random.default_rng(seed)
-    best = [0.0] * len(units)
-    zeros = [0] * len(units)
-    done = 0
-    while done < samples:
-        size = min(_CHUNK, samples - done)
-        hs = _haar_batch(rng, model.n, size)
-        for k, (num_mat, den_mat) in enumerate(units):
-            num, den = ratio_angles(num_mat, den_mat, hs)
+    best, zeros = [0.0] * len(units), [0] * len(units)
+    for start in range(0, samples, _CHUNK):
+        hs = _haar_batch(rng, model.n, min(_CHUNK, samples - start))
+        for k, (i, j, v_hat) in enumerate(units):
+            num, den = ratio_angles(i, j, v_hat, hs)
             keep = den >= 1e-6
             zeros[k] += int((~keep).sum())
             if keep.any():
                 best[k] = max(best[k], float((num[keep] / den[keep]).max()))
-        done += size
     return [RatioEstimate(m, z, samples, seed) for m, z in zip(best, zeros)]
 
 
 def sample_ratio(
     model: ModelSpace,
     v: Sequence[Rat],
-    b: np.ndarray,
+    c: int,
     samples: int,
     seed: int,
 ) -> RatioEstimate:
-    """``sample_ratios`` for the one pair (v, b)."""
-    return sample_ratios(model, [(v, b)], samples, seed)[0]
+    """``sample_ratios`` for the one pair (v, c)."""
+    return sample_ratios(model, [(v, c)], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +278,8 @@ def sample_ratio(
 def snap_to_singular(
     model: ModelSpace, w_hat: Sequence[float], eps0: float | None = None
 ) -> np.ndarray:
-    """Most singular unit vector within eps0 of a unit flat vector.
+    """Most singular unit vector within eps0 of a unit flat vector (n
+    finite entries of sum 0 and norm 1, both to 1e-9).
 
     Candidate faces are the coordinate-equality subspaces; among those
     whose distance to ``w_hat`` is at most eps0 (which must be
@@ -295,6 +290,12 @@ def snap_to_singular(
     back unchanged.
     """
     w = np.asarray([float(x) for x in w_hat], dtype=float)
+    if len(w) != model.n:
+        raise DimensionMismatchError(f"snap needs a vector of length {model.n}")
+    if not np.isfinite(w).all() or abs(w.sum()) > 1e-9:
+        raise NotInFlatError("snap needs a finite vector with zero coordinate sum")
+    if abs(np.linalg.norm(w) - 1.0) > 1e-9:
+        raise InvalidParamsError("snap needs a unit vector")
     radius = model.epsilon_zero if eps0 is None else eps0
     if not radius >= 0:
         raise InvalidParamsError("snap radius must be nonnegative")

@@ -394,8 +394,8 @@ def test_verify_judges_the_seed_spread(capsys, monkeypatch):
     # every seed's estimate is the first seed's, and the last seed's is 3x
     original = cli.sample_ratio
 
-    def planted(model, v, b, samples, seed):
-        first = original(model, v, b, samples, 1)
+    def planted(model, v, c, samples, seed):
+        first = original(model, v, c, samples, 1)
         return dataclasses.replace(first, max_ratio=first.max_ratio * (3 if seed == 3 else 1))
 
     monkeypatch.setattr(cli, "sample_ratio", planted)

@@ -97,11 +97,11 @@ def test_fperp_gram_and_count():
 
 def test_angle_examples():
     flat = MODEL4.flat_basis()
-    inside = MODEL4.diag_matrix([1, 0, 0, -1])
+    inside = np.diag([1.0, 0.0, 0.0, -1.0])
     assert angle_to_subspace(inside, flat) == pytest.approx(0.0, abs=1e-12)
     perp = MODEL4.b_matrix(0, 1)
     assert angle_to_subspace(perp, flat) == pytest.approx(np.pi / 2, abs=1e-12)
-    w = MODEL4.diag_matrix(np.array([1, 0, 0, -1]) / np.sqrt(2))
+    w = np.diag(np.array([1, 0, 0, -1]) / np.sqrt(2))
     u = MODEL4.b_matrix(0, 1)
     mixed = (w + u) / np.sqrt(2)
     assert angle_to_subspace(mixed, flat) == pytest.approx(np.pi / 4, abs=1e-12)
@@ -213,7 +213,7 @@ def test_stabilizer_generators_examples():
 
 def test_stabilizer_exponentials_fix_vector():
     v = (1, 1, 1, -3)
-    vm = MODEL4.diag_matrix(v)
+    vm = np.diag(np.asarray(v, dtype=float))
     rng = np.random.default_rng(5)
     gens = stabilizer_generators(MODEL4, v)
     for _ in range(20):
@@ -263,8 +263,7 @@ def test_stabilizer_rotations_keep_q_in_fperp():
 def test_ratio_angles_identity_is_degenerate():
     v = np.asarray([1, 1, 1, -3], float)
     v /= np.linalg.norm(v)
-    b = MODEL4.b_matrix(0, 3)
-    num, den = ratio_angles(b, np.diag(v), np.eye(4)[None, :, :])
+    num, den = ratio_angles(0, 3, v, np.eye(4)[None, :, :])
     assert num[0] <= 1e-12
     assert den[0] <= 1e-12  # would be skipped and counted
 
@@ -275,7 +274,7 @@ def test_ratio_angles_match_angle_to_subspace():
     v /= np.linalg.norm(v)
     b = MODEL4.b_matrix(0, 3)
     hs = _haar_batch(rng, 4, 8)
-    num, den = ratio_angles(b, np.diag(v), hs)
+    num, den = ratio_angles(0, 3, v, hs)
     fperp = MODEL4.fperp_basis()
     flat = MODEL4.flat_basis()
     for k, h in enumerate(hs):
@@ -306,30 +305,31 @@ def test_ratio_angles_match_full_conjugates():
         v -= v.mean()
         v /= np.linalg.norm(v)
         hs = _haar_batch(rng, n, 500)
-        for b in (model.b_matrix(0, n - 1), model.b_matrix(1, 2)):
-            got = ratio_angles(b, np.diag(v), hs)
-            want = _ratio_angles_full_conjugates(b, np.diag(v), hs)
+        for i, j in ((0, n - 1), (1, 2)):
+            got = ratio_angles(i, j, v, hs)
+            want = _ratio_angles_full_conjugates(model.b_matrix(i, j), np.diag(v), hs)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 def test_sample_ratio_contract():
-    est = sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.b_matrix(0, 3), 4000, 1)
+    c14, c12 = MODEL4.pairs.index((0, 3)), MODEL4.pairs.index((0, 1))
+    est = sample_ratio(MODEL4, (1, 1, 1, -3), c14, 4000, 1)
     assert np.isfinite(est.max_ratio)
     assert est.max_ratio > 0
-    longer = sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.b_matrix(0, 3), 8000, 1)
+    longer = sample_ratio(MODEL4, (1, 1, 1, -3), c14, 8000, 1)
     assert longer.max_ratio >= est.max_ratio  # prefix property
     with pytest.raises(BNotInQError):
-        sample_ratio(MODEL4, (1, 1, -1, -1), MODEL4.b_matrix(0, 1), 100, 1)
+        sample_ratio(MODEL4, (1, 1, -1, -1), c12, 100, 1)
 
 
 def _verify_pairs(n):
-    """The (v, b) pairs ``rootmatch verify`` scores: each vector of a
-    seeded singular frame with both of its doubled members."""
+    """The (v, c) pairs ``rootmatch verify`` scores: each vector of a
+    seeded singular frame with the columns of both of its doubled members."""
     model = ModelSpace(n)
     frame = random_frames(space(f"SL({n},R)"), 1, seed=1, singular_fraction=1.0)[0].vectors
     flat = pipeline_flat(model, frame)
-    pairs = [(v, b) for i, v in enumerate(frame) for b in (flat.primed[i], flat.double_primed[i])]
+    pairs = [(v, c) for v, row_pair in zip(frame, flat.match.pairs) for c in row_pair]
     return model, pairs
 
 
@@ -339,34 +339,86 @@ def test_sample_ratios_equal_lone_calls(n, samples):
     model, pairs = _verify_pairs(n)
     shared = sample_ratios(model, pairs, samples, 3)
     assert len(shared) == len(pairs) == 2 * (n - 1)
-    for (v, b), est in zip(pairs, shared):
-        alone = sample_ratio(model, v, b, samples, 3)
+    for (v, c), est in zip(pairs, shared):
+        alone = sample_ratio(model, v, c, samples, 3)
         assert est.max_ratio == alone.max_ratio
         assert est.zero_denominator_count == alone.zero_denominator_count
         assert (est.samples, est.seed) == (samples, 3)
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, 2.5, True, "100"])
 def test_sample_ratios_refuse_zero_evidence(monkeypatch, samples):
     draws = []
     monkeypatch.setattr(modelgeom, "_haar_batch", lambda *args: draws.append(args))
     with pytest.raises(InvalidParamsError):
-        sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.b_matrix(0, 3), samples, 1)
+        sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.pairs.index((0, 3)), samples, 1)
     with pytest.raises(InvalidParamsError):
         sample_ratios(MODEL4, _verify_pairs(4)[1], samples, 1)
     assert draws == []
 
 
+def test_sample_ratios_take_numpy_integers():
+    c14 = MODEL4.pairs.index((0, 3))
+    plain = sample_ratio(MODEL4, (1, 1, 1, -3), c14, 300, 1)
+    from_numpy = sample_ratio(MODEL4, (1, 1, 1, -3), np.int64(c14), np.int32(300), 1)
+    assert from_numpy == plain
+    assert type(from_numpy.samples) is int
+
+
+_BAD_PAIRS = [
+    (((1, 1, -1, -1), MODEL4.pairs.index((0, 1))), BNotInQError),
+    (((1, 1, 1, -3), 6), InvalidParamsError),
+    (((1, 1, 1, -3), 99), InvalidParamsError),
+    (((1, 1, 1, -3), -1), InvalidParamsError),
+    (((1, 1, 1, -3), 2.0), InvalidParamsError),
+    (((1, 1, 1, -3), True), InvalidParamsError),
+]
+
+
 @pytest.mark.parametrize("position", ["first", "middle", "last"])
 def test_sample_ratios_check_every_pair_before_drawing(monkeypatch, position):
+    # b_c outside Q_v, a column out of range, a float and a bool column
     _model, pairs = _verify_pairs(4)
-    bad = ((1, 1, -1, -1), MODEL4.b_matrix(0, 1))
     at = {"first": 0, "middle": len(pairs) // 2, "last": len(pairs)}[position]
     draws = []
     monkeypatch.setattr(modelgeom, "_haar_batch", lambda *args: draws.append(args))
-    with pytest.raises(BNotInQError):
-        sample_ratios(MODEL4, pairs[:at] + [bad] + pairs[at:], 100, 1)
+    for bad, error in _BAD_PAIRS:
+        with pytest.raises(error):
+            sample_ratios(MODEL4, pairs[:at] + [bad] + pairs[at:], 100, 1)
     assert draws == []
+
+
+def _sample_ratios_by_matrices(model, pairs, samples, seed):
+    """``sample_ratios`` from the definition: each pair scored as h b_c h^T
+    and h diag(v_hat) h^T by ``_ratio_angles_full_conjugates`` on the same
+    seeded ``_haar_batch`` chunks; (max ratio, zero denominators) per pair."""
+    basis = model.fperp_basis()
+    mats = []
+    for v, c in pairs:
+        w = np.asarray([float(Fraction(x)) for x in v])
+        mats.append((basis[c], np.diag(w / np.linalg.norm(w))))
+    rng = np.random.default_rng(seed)
+    best, zeros = [0.0] * len(mats), [0] * len(mats)
+    for start in range(0, samples, modelgeom._CHUNK):
+        hs = _haar_batch(rng, model.n, min(modelgeom._CHUNK, samples - start))
+        for k, (b, d) in enumerate(mats):
+            num, den = _ratio_angles_full_conjugates(b, d, hs)
+            keep = den >= 1e-6
+            zeros[k] += int((~keep).sum())
+            if keep.any():
+                best[k] = max(best[k], float((num[keep] / den[keep]).max()))
+    return list(zip(best, zeros))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_sample_ratios_equal_the_matrix_definition(n):
+    # 2,500 samples: one full chunk and a partial one
+    model, pairs = _verify_pairs(n)
+    got = sample_ratios(model, pairs, 2500, 1)
+    want = _sample_ratios_by_matrices(model, pairs, 2500, 1)
+    for est, (max_ratio, zeros) in zip(got, want):
+        assert est.max_ratio == pytest.approx(max_ratio, rel=1e-12, abs=0)
+        assert est.zero_denominator_count == zeros
 
 
 def test_snap_regular_unchanged():
@@ -389,6 +441,22 @@ def test_snap_on_wall_is_fixed():
     w = np.asarray([0.5, 0.5, -0.5, -0.5])
     snapped = snap_to_singular(MODEL4, w)
     assert np.array_equal(snapped, w)
+
+
+@pytest.mark.parametrize(
+    "w, error",
+    [
+        ([0.6, -0.8], DimensionMismatchError),
+        ([0.5, 0.5, -0.5, -0.5, 0.0], DimensionMismatchError),
+        ([1, 2, 3, 4], NotInFlatError),
+        ([float("nan"), 0, 0, 0], NotInFlatError),
+        ([2, -2, 0, 0], InvalidParamsError),
+    ],
+    ids=["short", "long", "nonzero-sum", "nan", "not-unit"],
+)
+def test_snap_refuses_what_is_no_unit_flat_vector(w, error):
+    with pytest.raises(error):
+        snap_to_singular(MODEL4, w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -610,7 +678,7 @@ def test_perturbed_snap_recovers_wall():
 def test_conjugation_preserves_trace_form():
     rng = np.random.default_rng(8)
     x = MODEL4.b_matrix(0, 2)
-    y = MODEL4.diag_matrix([1, -1, 2, -2])
+    y = np.diag([1.0, -1.0, 2.0, -2.0])
     for seed in range(5):
         h = haar_rotation(4, seed)
         lhs = trace_inner(h @ x @ h.T, h @ y @ h.T)
