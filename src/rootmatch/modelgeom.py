@@ -228,7 +228,8 @@ def sample_ratios(
     so b_c lies in Q_v; every pair is checked before any draw.  Samples
     whose denominator angle falls below 1e-6 are excluded and counted
     separately.  ``samples`` is an integer of at least 1: no estimate
-    rests on zero draws.
+    rests on zero draws.  ``seed`` is a nonnegative integer, stored as an
+    int in each estimate.
 
     Chunks of fixed size keep the sample stream a prefix of any longer
     run on the same seed, so estimates are nondecreasing in the sample
@@ -238,6 +239,9 @@ def sample_ratios(
     samples = _as_int(samples, "sample count")
     if samples < 1:
         raise InvalidParamsError("ratio sampling needs at least one sample")
+    seed = _as_int(seed, "seed")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be nonnegative, got {seed}")
     units = []
     for v, c in pairs:
         c = _as_int(c, "column")
@@ -402,29 +406,24 @@ def _rationalize_flat(vec: np.ndarray) -> tuple[Fraction, ...]:
     return tuple(x - total / n for x in fr)
 
 
-def _align_rotation(v_mat: np.ndarray, target: Sequence[Fraction]) -> np.ndarray:
-    """Orthogonal alignment of the eigenframe of v onto the coordinate axes.
+def _align_rotation(h: np.ndarray, target: Sequence[Fraction]) -> np.ndarray:
+    """The rotation carrying the flat onto h.diag(w).h^T, aligned with the
+    exact snapped target of w: h, with the columns of each block B of
+    equal target values turned by the orthogonal polar factor of h[B, B].
 
-    Eigenvalues are paired with the coordinates of the exact target
-    vector in sorted order; within each block of equal target values the
-    residual block rotation (an element of the target's stabilizer) is
-    removed through its orthogonal polar factor, so the result is the
-    rotation moving the flat to v with no stray stabilizer component.
+    The eigenvectors of h.diag(w).h^T are the columns of h, and any
+    eigenbasis h[:, B].O of a block turns to the same columns, since
+    polar(A.O) = polar(A).O.  A block of one stays as it is: eps*|u| <
+    1/n^2 keeps each h_ii positive, so its polar factor is 1.
     """
-    n = len(target)
-    _lam, vecs = np.linalg.eigh(v_mat)
     fr = [Fraction(x) for x in target]
-    positions = sorted(range(n), key=lambda i: (fr[i], i))
-    m = np.empty((n, n))
-    for eig_index, pos in enumerate(positions):
-        m[:, pos] = vecs[:, eig_index]
-    rot = m.copy()
+    rot = h.copy()
+    positions = sorted(range(len(fr)), key=lambda i: (fr[i], i))
     for _value, group in itertools.groupby(positions, key=lambda i: fr[i]):
-        block = sorted(group)
-        sub = m[np.ix_(block, block)]
-        u, _s, vt = np.linalg.svd(sub)
-        q = u @ vt
-        rot[:, block] = m[:, block] @ q.T
+        block = list(group)
+        if len(block) > 1:
+            u, _s, vt = np.linalg.svd(h[np.ix_(block, block)])
+            rot[:, block] = h[:, block] @ (u @ vt).T
     return rot
 
 
@@ -436,11 +435,13 @@ def pipeline_perturbed(
 ) -> DoubledFrame:
     """Double a frame conjugated off the flat by exp(eps * u).
 
-    Each perturbed vector is projected back to the flat, snapped to the
-    most singular direction in its eps0-ball, and doubled through the
-    flat pipeline; the outputs are carried back by the aligning rotation
-    of each perturbed vector.  The Gram deviation of the members scales
-    linearly with eps.
+    With h = exp(eps * u), each perturbed vector h.diag(w).h^T is
+    projected back to the flat as its diagonal sum_l h_kl^2 w_l, snapped
+    to the most singular direction in its eps0-ball, and doubled through
+    the flat pipeline; its members are carried back by
+    ``_align_rotation(h, snapped)``, so no perturbed vector is built or
+    decomposed.  The Gram deviation of the members scales linearly with
+    eps.
     """
     if not eps >= 0:
         raise InvalidParamsError("eps must be nonnegative")
@@ -457,13 +458,12 @@ def pipeline_perturbed(
     if abs(norm_u - 1.0) > 1e-6:
         raise InvalidParamsError("u must have unit norm")
 
-    flats = [np.asarray([float(x) for x in w], dtype=float) for w in frame]
     h = _exp_skew(eps * u) if eps > 0 else np.eye(model.n)
-    v_mats = [h @ np.diag(w) @ h.T for w in flats]
+    weights = h * h
 
     snapped_exact: list[tuple[Fraction, ...]] = []
-    for vm in v_mats:
-        d = np.einsum("ii->i", vm).copy()
+    for w in frame:
+        d = weights @ np.asarray([float(x) for x in w], dtype=float)
         d -= d.mean()
         norm_d = float(np.linalg.norm(d))
         if norm_d < 1e-12:
@@ -475,9 +475,7 @@ def pipeline_perturbed(
         flat_frame = pipeline_flat(model, snapped_exact)
     except InvalidParamsError as exc:
         raise MatchFailedError(f"snapped frame degenerated: {exc}") from exc
-    rotations = [
-        _align_rotation(v_mats[i], snapped_exact[i]) for i in range(len(flats))
-    ]
+    rotations = [_align_rotation(h, target) for target in snapped_exact]
     primed = tuple(
         r @ w @ r.T for r, w in zip(rotations, flat_frame.primed)
     )
@@ -565,14 +563,15 @@ def random_perturbation_case(
     """A seeded (frame, u) pair exercising the perturbed pipeline.
 
     The first frame vector sits exactly on a wall: two coordinates
-    share one of n-1 jittered equispaced values, so after normalization
-    every other wall stays several snap radii away.  The remaining
-    vectors are completed orthonormally and u is a unit rotation
-    generator.  Draws whose first-order Gram coefficient is below
-    ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose doubled
-    members span a stabilizer-invariant plane sees no linear term, and a
-    fully regular frame degenerates to quadratic, so such cases say
-    nothing about linear scaling.
+    share one of n-1 jittered equispaced values.  A draw is kept only if
+    those values stay more than three snap radii apart after
+    normalization, so every other wall is out of the snap's reach.  The
+    remaining vectors are completed orthonormally and u is a unit
+    rotation generator.  Draws whose first-order Gram coefficient is
+    below ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose
+    doubled members span a stabilizer-invariant plane sees no linear
+    term, and a fully regular frame degenerates to quadratic, so such
+    cases say nothing about linear scaling.
     """
     rng = np.random.default_rng(seed)
     n = model.n
@@ -586,13 +585,10 @@ def random_perturbation_case(
         for slot, coord in enumerate(rest):
             raw[coord] = values[order[slot + 1]]
         raw -= raw.mean()
-        first = raw / np.linalg.norm(raw)
-        distinct = np.sort(np.unique(np.round(first, 12)))
-        if len(distinct) != n - 1:
+        norm_raw = np.linalg.norm(raw)
+        if np.diff(np.sort(values)).min() <= 3.0 * model.epsilon_zero * norm_raw:
             continue
-        if np.diff(distinct).min() <= 3.0 * model.epsilon_zero:
-            continue
-        basis = [first]
+        basis = [raw / norm_raw]
         ok = True
         for _k in range(model.rank - 1):
             for _try in range(50):

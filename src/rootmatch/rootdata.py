@@ -162,61 +162,47 @@ def build_root_system(
 
     ``short_mult`` is the multiplicity of the short roots e_i (B family);
     ``p``, ``q`` select the SU(p,q) multiplicities for the BC family.
+    Either set for another family is an ``InvalidParamsError``.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}")
     if rank < 1:
         raise InvalidParamsError("rank must be >= 1")
-
-    roots: list[Root] = []
-    if family == "A":
-        dim = rank + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                coords = _unit(dim, i)
-                coords[j] = -1
-                roots.append(Root(tuple(coords), 1))
-    elif family in ("B", "C", "D"):
-        if family == "D" and rank < 2:
-            raise InvalidParamsError("D family needs rank >= 2")
-        if family != "B" and short_mult != 1:
-            raise InvalidParamsError("short_mult applies to the B family only")
-        if short_mult < 1:
-            raise InvalidParamsError("short_mult must be >= 1")
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                minus = _unit(rank, i)
-                minus[j] = -1
-                plus = _unit(rank, i)
-                plus[j] = 1
-                roots.append(Root(tuple(minus), 1))
-                roots.append(Root(tuple(plus), 1))
-        if family == "B":
-            for i in range(rank):
-                roots.append(Root(tuple(_unit(rank, i)), short_mult))
-        elif family == "C":
-            for i in range(rank):
-                roots.append(Root(tuple(_unit(rank, i, 2)), 1))
-    else:  # BC, realized by SU(p,q)
+    if family == "D" and rank < 2:
+        raise InvalidParamsError("D family needs rank >= 2")
+    if family != "B" and short_mult != 1:
+        raise InvalidParamsError("short_mult applies to the B family only")
+    if short_mult < 1:
+        raise InvalidParamsError("short_mult must be >= 1")
+    if family != "BC" and (p is not None or q is not None):
+        raise InvalidParamsError("p and q apply to the BC family only")
+    if family == "BC":  # realized by SU(p,q)
         if p is None or q is None:
             raise InvalidParamsError("BC family needs p and q")
         if not (p >= q >= 1):
             raise InvalidParamsError("BC family needs p >= q >= 1")
         if rank != q:
             raise InvalidParamsError("BC rank must equal q")
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                minus = _unit(rank, i)
-                minus[j] = -1
-                plus = _unit(rank, i)
-                plus[j] = 1
-                roots.append(Root(tuple(minus), 2))
-                roots.append(Root(tuple(plus), 2))
-        if p > q:
-            for i in range(rank):
-                roots.append(Root(tuple(_unit(rank, i)), 2 * (p - q)))
-        for i in range(rank):
-            roots.append(Root(tuple(_unit(rank, i, 2)), 1))
+        pair, short, double = 2, 2 * (p - q), 1
+    else:
+        # multiplicities of e_i - e_j and e_i + e_j, of e_i and of 2e_i (0: no root)
+        pair, short, double = {
+            "A": (1, 0, 0), "B": (1, short_mult, 0), "C": (1, 0, 1), "D": (1, 0, 0)
+        }[family]
+
+    # the A flat is the trace-zero hyperplane of R^(rank+1), with no e_i + e_j
+    dim = rank + 1 if family == "A" else rank
+    signs = (-1,) if family == "A" else (-1, 1)
+    roots: list[Root] = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for sign in signs:
+                coords = _unit(dim, i)
+                coords[j] = sign
+                roots.append(Root(tuple(coords), pair))
+        for value, mult in ((1, short), (2, double)):
+            if mult:
+                roots.append(Root(tuple(_unit(dim, i, value)), mult))
 
     roots.sort(key=lambda r: _sort_key(r.coords))
     if len({r.coords for r in roots}) != len(roots):

@@ -1,5 +1,8 @@
 """Reference computations the tests compare the package against."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 
 from rootmatch.errors import DimensionMismatchError, ZeroVectorError
@@ -48,3 +51,27 @@ def stabilizer_projection(model, mask, u):
             khat = model.k_matrix(i, j) / np.sqrt(2.0)
             proj += float(np.sum(u * khat)) * khat
     return proj
+
+
+def align_rotation_by_eigh(v_mat, target):
+    """Orthogonal alignment of the eigenframe of a perturbed vector v_mat
+    onto the coordinate axes of its exact snapped target: the oracle of
+    ``modelgeom._align_rotation``.
+
+    Eigenvalues from ``eigh`` are paired with the target coordinates in
+    sorted order; within each block of equal target values the residual
+    block rotation is removed through its orthogonal polar factor.
+    """
+    n = len(target)
+    _lam, vecs = np.linalg.eigh(v_mat)
+    fr = [Fraction(x) for x in target]
+    positions = sorted(range(n), key=lambda i: (fr[i], i))
+    m = np.empty((n, n))
+    for eig_index, pos in enumerate(positions):
+        m[:, pos] = vecs[:, eig_index]
+    rot = m.copy()
+    for _value, group in itertools.groupby(positions, key=lambda i: fr[i]):
+        block = sorted(group)
+        u, _s, vt = np.linalg.svd(m[np.ix_(block, block)])
+        rot[:, block] = m[:, block] @ (u @ vt).T
+    return rot

@@ -17,6 +17,7 @@ from rootmatch.errors import (
 from rootmatch.framematrix import random_frames
 from rootmatch.modelgeom import (
     ModelSpace,
+    _align_rotation,
     _exp_skew,
     _haar_batch,
     _rationalize_flat,
@@ -41,7 +42,7 @@ from rootmatch.modelgeom import (
 )
 from rootmatch.rootdata import space
 
-from oracles import angle_to_subspace, stabilizer_projection
+from oracles import align_rotation_by_eigh, angle_to_subspace, stabilizer_projection
 
 MODEL4 = ModelSpace(4)
 
@@ -357,12 +358,26 @@ def test_sample_ratios_refuse_zero_evidence(monkeypatch, samples):
     assert draws == []
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "x", True])
+def test_sample_ratios_refuse_a_bad_seed_before_drawing(monkeypatch, seed):
+    draws = []
+    monkeypatch.setattr(modelgeom, "_haar_batch", lambda *args: draws.append(args))
+    with pytest.raises(InvalidParamsError):
+        sample_ratio(MODEL4, (1, 1, 1, -3), MODEL4.pairs.index((0, 3)), 100, seed)
+    with pytest.raises(InvalidParamsError):
+        sample_ratios(MODEL4, _verify_pairs(4)[1], 100, seed)
+    assert draws == []
+
+
 def test_sample_ratios_take_numpy_integers():
     c14 = MODEL4.pairs.index((0, 3))
     plain = sample_ratio(MODEL4, (1, 1, 1, -3), c14, 300, 1)
-    from_numpy = sample_ratio(MODEL4, (1, 1, 1, -3), np.int64(c14), np.int32(300), 1)
+    from_numpy = sample_ratio(
+        MODEL4, (1, 1, 1, -3), np.int64(c14), np.int32(300), np.int64(1)
+    )
     assert from_numpy == plain
     assert type(from_numpy.samples) is int
+    assert type(from_numpy.seed) is int
 
 
 _BAD_PAIRS = [
@@ -673,6 +688,41 @@ def test_perturbed_snap_recovers_wall():
     raw = sorted(set(np.round(frame[0], 12)))
     for got, expected in zip(values, raw):
         assert float(got) == pytest.approx(expected, abs=1e-6)
+
+
+@functools.lru_cache(maxsize=None)
+def _perturbation_case(n, seed):
+    return random_perturbation_case(ModelSpace(n), seed)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_perturbation_case_postconditions(n):
+    eps0 = ModelSpace(n).epsilon_zero
+    for seed in range(1, 31):
+        frame, u = _perturbation_case(n, seed)
+        first = frame[0]
+        ties = [(i, j) for i in range(n) for j in range(i + 1, n) if first[i] == first[j]]
+        assert len(ties) == 1, (seed, first)
+        values = np.sort(np.unique(first))
+        assert len(values) == n - 1
+        assert np.diff(values).min() > 3.0 * eps0, (seed, first)
+        assert np.array_equal(u, -u.T)
+        assert trace_inner(u, u.T) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_align_rotation_matches_the_eigendecomposition(n, eps):
+    # the columns of h, turned within each tied block, against the eigh
+    # frame of h.diag(w).h^T paired with the snapped target in sorted order
+    model = ModelSpace(n)
+    for seed in range(1, 11):
+        frame, u = _perturbation_case(n, seed)
+        h = _exp_skew(eps * u)
+        targets = pipeline_perturbed(model, frame, u, eps).snapped_frame
+        for w, target in zip(frame, targets):
+            want = align_rotation_by_eigh(h @ np.diag(w) @ h.T, target)
+            assert np.abs(_align_rotation(h, target) - want).max() <= 1e-12, (seed, target)
 
 
 def test_conjugation_preserves_trace_form():

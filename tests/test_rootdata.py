@@ -100,6 +100,23 @@ def test_family_and_param_errors():
         Root((1, 0), 0)
 
 
+@pytest.mark.parametrize(
+    "family, rank, params",
+    [
+        ("A", 3, {"short_mult": 5}),
+        ("A", 3, {"short_mult": 0}),
+        ("BC", 2, {"p": 3, "q": 2, "short_mult": 5}),
+        ("A", 3, {"p": 3, "q": 2}),
+        ("C", 3, {"p": 3, "q": 2}),
+    ],
+    ids=["A-short_mult", "A-short_mult-0", "BC-short_mult", "A-p-q", "C-p-q"],
+)
+def test_parameters_of_another_family_are_refused(family, rank, params):
+    # short_mult belongs to B and (p, q) to BC; elsewhere they are errors
+    with pytest.raises(InvalidParamsError):
+        build_root_system(family, rank, **params)
+
+
 def test_evaluate_root_examples():
     a3 = build_root_system("A", 3)
     e12 = next(r for r in a3.positives if r.coords == (1, -1, 0, 0))
