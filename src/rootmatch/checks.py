@@ -267,10 +267,12 @@ def ratio_stability(inputs: Inputs) -> str:
 
 
 def judge_doubled_frame(model: ModelSpace, out: DoubledFrame) -> str:
-    """Criterion 9's verdict on one doubled frame: 2k distinct members,
-    each unit and perpendicular to the flat, and Gram deviation at most 1e-12."""
+    """Criterion 9's verdict on one doubled frame: 2k members of distinct
+    columns, each unit and perpendicular to the flat, and Gram deviation
+    at most 1e-12."""
     n, members = model.n, out.members()
-    if len(members) != 2 * model.rank or len({id(m) for m in members}) != 2 * model.rank:
+    columns = {c for row_pair in out.match.pairs for c in row_pair}
+    if len(members) != 2 * model.rank or len(columns) != 2 * model.rank:
         raise CheckFailedError(f"n={n}: {len(members)} members, not 2k distinct")
     if out.gram_deviation > 1e-12:
         raise CheckFailedError(f"n={n}: Gram deviation {out.gram_deviation:.3e}")

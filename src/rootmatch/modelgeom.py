@@ -334,28 +334,47 @@ def snap_to_singular(
 
 @dataclass(frozen=True, eq=False)
 class DoubledFrame:
-    """2k near-orthonormal vectors, two per frame vector."""
+    """2k near-orthonormal vectors, two per frame vector: the members of
+    row a are r.b_c.r^T for its rotation r = ``rotations[a]`` and the
+    columns c of ``match.pairs[a]``."""
 
-    primed: tuple[np.ndarray, ...]
-    double_primed: tuple[np.ndarray, ...]
+    model: ModelSpace
+    rotations: tuple[np.ndarray, ...]
     gram_deviation: float
     match: MatchResult
     trace: AlgoTrace
     snapped_frame: tuple[tuple[Fraction, ...], ...]
 
     def members(self) -> list[np.ndarray]:
-        out = []
-        for a, b in zip(self.primed, self.double_primed):
-            out.extend((a, b))
-        return out
+        """The members as n x n matrices, row by row in column order."""
+        pairs = self.model.pairs
+        return [
+            r @ self.model.b_matrix(*pairs[c]) @ r.T
+            for r, row_pair in zip(self.rotations, self.match.pairs)
+            for c in row_pair
+        ]
 
 
-def _gram_deviation(members: Sequence[np.ndarray]) -> float:
+def _doubled(
+    model: ModelSpace,
+    rotations: Sequence[np.ndarray],
+    match: MatchResult,
+    trace: AlgoTrace,
+    snapped_frame: tuple[tuple[Fraction, ...], ...],
+) -> DoubledFrame:
+    """The doubled frame of a matching carried by one rotation per row,
+    with its Gram deviation: the largest
+    |<r.b_ij.r^T, s.b_kl.s^T>| between members of two rows, which with
+    M = r^T.s is M_ik.M_jl + M_il.M_jk.  Members of one row share their
+    rotation, so their inner product is exactly 0."""
     worst = 0.0
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            worst = max(worst, abs(trace_inner(members[a], members[b])))
-    return worst
+    rows = [[model.pairs[c] for c in row_pair] for row_pair in match.pairs]
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        m = rotations[a].T @ rotations[b]
+        for i, j in rows[a]:
+            for k, l in rows[b]:
+                worst = max(worst, abs(m[i, k] * m[j, l] + m[i, l] * m[j, k]))
+    return DoubledFrame(model, tuple(rotations), float(worst), match, trace, snapped_frame)
 
 
 def _sl_space(n: int):
@@ -369,8 +388,9 @@ def pipeline_flat(
     """Double an exact spanning frame of the flat into b-vectors.
 
     Builds the selection matrix, runs the greedy matching, and maps the
-    chosen columns to their b_ij matrices.  The members are exactly
-    orthonormal and orthogonal to the flat.
+    chosen columns to their b_ij matrices, each row by the identity
+    rotation.  The members are exactly orthonormal and orthogonal to the
+    flat.
     """
     frame_spec = make_frame(_sl_space(model.n), frame)
     vectors = frame_spec.vectors
@@ -381,17 +401,8 @@ def pipeline_flat(
         result, trace = greedy_match(matrix)
     except NoMatchingError as exc:
         raise MatchFailedError(f"no column matching: {exc}") from exc
-    basis = model.fperp_basis()
-    primed = tuple(basis[j] for j, _ in result.pairs)
-    double_primed = tuple(basis[k] for _, k in result.pairs)
-    return DoubledFrame(
-        primed=primed,
-        double_primed=double_primed,
-        gram_deviation=_gram_deviation(list(primed) + list(double_primed)),
-        match=result,
-        trace=trace,
-        snapped_frame=tuple(tuple(Fraction(x) for x in v) for v in vectors),
-    )
+    snapped = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+    return _doubled(model, (np.eye(model.n),) * len(vectors), result, trace, snapped)
 
 
 def _rationalize_flat(vec: np.ndarray) -> tuple[Fraction, ...]:
@@ -443,6 +454,8 @@ def pipeline_perturbed(
     decomposed.  The Gram deviation of the members scales linearly with
     eps.
     """
+    if any(len(w) != model.n for w in frame):
+        raise DimensionMismatchError(f"perturbed pipeline needs vectors of length {model.n}")
     if not eps >= 0:
         raise InvalidParamsError("eps must be nonnegative")
     if eps >= model.epsilon_zero:
@@ -476,20 +489,7 @@ def pipeline_perturbed(
     except InvalidParamsError as exc:
         raise MatchFailedError(f"snapped frame degenerated: {exc}") from exc
     rotations = [_align_rotation(h, target) for target in snapped_exact]
-    primed = tuple(
-        r @ w @ r.T for r, w in zip(rotations, flat_frame.primed)
-    )
-    double_primed = tuple(
-        r @ w @ r.T for r, w in zip(rotations, flat_frame.double_primed)
-    )
-    return DoubledFrame(
-        primed=primed,
-        double_primed=double_primed,
-        gram_deviation=_gram_deviation(list(primed) + list(double_primed)),
-        match=flat_frame.match,
-        trace=flat_frame.trace,
-        snapped_frame=tuple(snapped_exact),
-    )
+    return _doubled(model, rotations, flat_frame.match, flat_frame.trace, tuple(snapped_exact))
 
 
 def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
@@ -508,22 +508,6 @@ def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
     return float(min(gaps))
 
 
-def _stabilizer_projection(model: ModelSpace, mask: int, u: np.ndarray) -> np.ndarray:
-    """Component of a rotation generator inside the stabilizer algebra of
-    a vector with row mask ``mask``.
-
-    The normalized generators k_ij/sqrt(2) are orthonormal with disjoint
-    supports, so this is the skew part (u - u.T)/2 at the entries (i, j)
-    and (j, i) of the clear bits, and zero elsewhere.
-    """
-    skew = (u - u.T) / 2.0
-    proj = np.zeros((model.n, model.n))
-    for c, (i, j) in enumerate(model.pairs):
-        if not mask >> c & 1:
-            proj[i, j], proj[j, i] = skew[i, j], skew[j, i]
-    return proj
-
-
 def first_order_gram_coefficient(
     model: ModelSpace,
     frame: Sequence[Sequence[Rat]],
@@ -531,26 +515,28 @@ def first_order_gram_coefficient(
 ) -> float:
     """Leading coefficient of the perturbed Gram deviation in eps.
 
-    Each doubled member is carried by exp(eps * (u - P_i u)) with P_i
-    the stabilizer projection of its row, so the derivative of a cross
-    Gram entry at eps = 0 is -<[P_i u, x], y> - <x, [P_j u, y]>.  The
-    maximum absolute derivative over cross pairs predicts whether the
-    deviation scales linearly or degenerates to quadratic.
+    Each doubled member is carried by exp(eps * (u - P_a u)) with P_a u
+    the stabilizer projection of its row a: the skew part of u at the
+    entries of the clear bits of a's mask, 0 at the set ones.  Members
+    of rows a and b sharing one index t, with other indices p and q,
+    move apart at the rate |(P_a u)_pq - (P_b u)_pq|, nonzero only
+    where bit (p, q) is clear in exactly one of the two masks; members
+    sharing no index, or one row, stay orthogonal to first order.  The
+    maximum predicts whether the deviation scales linearly or
+    degenerates to quadratic.
     """
-    exact = [tuple(Fraction(x) for x in v) for v in frame]
-    flat = pipeline_flat(model, exact)
-    k = len(exact)
-    projections = [_stabilizer_projection(model, mask, u) for mask in flat.trace.rows]
-    comm = lambda a, b: a @ b - b @ a
+    flat = pipeline_flat(model, [tuple(Fraction(x) for x in v) for v in frame])
+    skew = (u - u.T) / 2.0
+    column = {pair: c for c, pair in enumerate(model.pairs)}
+    rows = list(zip(flat.trace.rows, flat.match.pairs))
     worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            for x in (flat.primed[i], flat.double_primed[i]):
-                for y in (flat.primed[j], flat.double_primed[j]):
-                    c = trace_inner(comm(projections[i], x), y) + trace_inner(
-                        x, comm(projections[j], y)
-                    )
-                    worst = max(worst, abs(c))
+    for (mask_a, cols_a), (mask_b, cols_b) in itertools.combinations(rows, 2):
+        for x in (set(model.pairs[c]) for c in cols_a):
+            for y in (set(model.pairs[c]) for c in cols_b):
+                if len(x & y) == 1:
+                    p, q = sorted(x ^ y)
+                    if (mask_a ^ mask_b) >> column[p, q] & 1:
+                        worst = max(worst, abs(float(skew[p, q])))
     return worst
 
 
@@ -567,8 +553,9 @@ def random_perturbation_case(
     those values stay more than three snap radii apart after
     normalization, so every other wall is out of the snap's reach.  The
     remaining vectors are completed orthonormally and u is a unit
-    rotation generator.  Draws whose first-order Gram coefficient is
-    below ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose
+    rotation generator.  Draws whose first-order Gram coefficient, taken
+    on the frame as the pipeline snaps it at eps = 0, is below
+    ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose
     doubled members span a stabilizer-invariant plane sees no linear
     term, and a fully regular frame degenerates to quadratic, so such
     cases say nothing about linear scaling.
@@ -608,7 +595,7 @@ def random_perturbation_case(
         s = rng.standard_normal((n, n))
         u = (s - s.T) / 2.0
         u /= np.sqrt(trace_inner(u, u.T))
-        exact = [_rationalize_flat(w) for w in basis]
+        exact = [_rationalize_flat(snap_to_singular(model, w)) for w in basis]
         try:
             coefficient = first_order_gram_coefficient(model, exact, u)
         except (MatchFailedError, InvalidParamsError):

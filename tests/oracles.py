@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from rootmatch.errors import DimensionMismatchError, ZeroVectorError
-from rootmatch.modelgeom import trace_inner
+from rootmatch.modelgeom import pipeline_flat, trace_inner
 
 
 def evaluate_root(root, v):
@@ -44,13 +44,42 @@ def stabilizer_projection(model, mask, u):
     """Component of a rotation generator inside the stabilizer algebra of a
     vector with row mask ``mask``, as the sum of its inner products with
     the normalized generators k_ij/sqrt(2) of the clear bits: the oracle
-    of ``modelgeom._stabilizer_projection``."""
+    of the skew part that ``modelgeom.first_order_gram_coefficient``
+    reads at the clear bits."""
     proj = np.zeros((model.n, model.n))
     for c, (i, j) in enumerate(model.pairs):
         if not mask >> c & 1:
             khat = model.k_matrix(i, j) / np.sqrt(2.0)
             proj += float(np.sum(u * khat)) * khat
     return proj
+
+
+def gram_deviation_by_trace(members):
+    """Largest |tr(x y)| over pairs of distinct dense members: the oracle
+    of ``DoubledFrame.gram_deviation``."""
+    return max(
+        abs(trace_inner(x, y)) for a, x in enumerate(members) for y in members[a + 1 :]
+    )
+
+
+def first_order_coefficient_by_commutators(model, frame, u):
+    """Largest |<[P_a u, x], y> + <x, [P_b u, y]>| over members x of row a
+    and y of row b > a of the flat pipeline's doubling of an exact frame,
+    P the ``stabilizer_projection`` of each row: the oracle of
+    ``modelgeom.first_order_gram_coefficient``."""
+    flat = pipeline_flat(model, frame)
+    members = flat.members()
+    projections = [stabilizer_projection(model, mask, u) for mask in flat.trace.rows]
+    comm = lambda a, b: a @ b - b @ a
+    worst = 0.0
+    for i, j in itertools.combinations(range(len(projections)), 2):
+        for x in members[2 * i : 2 * i + 2]:
+            for y in members[2 * j : 2 * j + 2]:
+                c = trace_inner(comm(projections[i], x), y) + trace_inner(
+                    x, comm(projections[j], y)
+                )
+                worst = max(worst, abs(c))
+    return worst
 
 
 def align_rotation_by_eigh(v_mat, target):

@@ -13,6 +13,7 @@ import rootmatch
 from rootmatch import checks, cli, modelgeom
 from rootmatch.cli import main
 from rootmatch.errors import CheckFailedError
+from rootmatch.matcher import MatchResult
 
 WALL_FRAME = '[["1","1","1","-3"],["-3","1","1","1"],["1","-1","1","-1"]]'
 
@@ -344,6 +345,16 @@ def test_verify_subcommand(capsys):
     ]
 
 
+@pytest.mark.parametrize("n, seeds", [("5", "14,15"), ("6", "30,130"), ("8", "29,129")])
+def test_verify_passes_where_a_drawn_frame_snaps_to_no_linear_term(capsys, n, seeds):
+    # each first seed draws frames whose completion vectors snap onto
+    # walls; a case screened on the drawn frame, not the snapped one, can
+    # have no first-order term, and the spread judge then compares rounding
+    code, out, _err = run(capsys, "verify", "--n", n, "--seeds", seeds)
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+
+
 def test_verify_draws_each_seed_once(capsys, monkeypatch):
     # every (v, b) pair is scored on the first seed's rotations, and that
     # seed's entry of the seed spread is the (v1, v1_prime) pair's estimate
@@ -410,12 +421,23 @@ def test_verify_judges_the_seed_spread(capsys, monkeypatch):
     assert checks_by_name["eps_linear_scaling"]["passed"] is True
 
 
+def _pairs(pairs):
+    """A planted ``match`` of a doubled frame: its columns, row by row."""
+    return {"match": MatchResult(pairs)}
+
+
+def _repeat_a_column(pairs):
+    """The row pairs with row 0's first column replaced by row 1's."""
+    (_a, b), (c, d), *rest = pairs
+    return ((c, b), (c, d), *rest)
+
+
 @pytest.mark.parametrize(
     "plant, detail",
     [
-        (lambda out: {"primed": (2.0 * out.primed[0],) + out.primed[1:]}, "member not unit"),
-        (lambda out: {"primed": (out.double_primed[0],) + out.primed[1:]}, "6 members, not 2k"),
-        (lambda out: {"double_primed": out.double_primed[:-1]}, "4 members, not 2k"),
+        (lambda out: {"rotations": (2.0 * out.rotations[0],) + out.rotations[1:]}, "member not unit"),
+        (lambda out: _pairs(_repeat_a_column(out.match.pairs)), "6 members, not 2k"),
+        (lambda out: _pairs(out.match.pairs[:-1]), "4 members, not 2k"),
         (lambda out: {"gram_deviation": 1e-9}, "Gram deviation 1.000e-09"),
     ],
     ids=["non_unit", "repeated", "short", "gram"],

@@ -20,8 +20,8 @@ from rootmatch.modelgeom import (
     _align_rotation,
     _exp_skew,
     _haar_batch,
+    _MIN_LINEAR_COEFFICIENT,
     _rationalize_flat,
-    _stabilizer_projection,
     diagonal_exact,
     exact_commutator,
     first_order_gram_coefficient,
@@ -42,7 +42,13 @@ from rootmatch.modelgeom import (
 )
 from rootmatch.rootdata import space
 
-from oracles import align_rotation_by_eigh, angle_to_subspace, stabilizer_projection
+from oracles import (
+    align_rotation_by_eigh,
+    angle_to_subspace,
+    first_order_coefficient_by_commutators,
+    gram_deviation_by_trace,
+    stabilizer_projection,
+)
 
 MODEL4 = ModelSpace(4)
 
@@ -589,9 +595,10 @@ def test_pipeline_flat_regular():
 
 def test_pipeline_flat_matches_selection():
     out = pipeline_flat(MODEL4, [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    members = out.members()
     got = [
         (tuple(int(i) for i in np.argwhere(p > 0)[0]), tuple(int(i) for i in np.argwhere(q > 0)[0]))
-        for p, q in zip(out.primed, out.double_primed)
+        for p, q in zip(members[::2], members[1::2])
     ]
     assert got == [((0, 3), (1, 3)), ((0, 1), (0, 2)), ((1, 2), (2, 3))]
 
@@ -635,6 +642,8 @@ def test_perturbed_parameter_validation():
         pipeline_perturbed(MODEL4, frame, np.eye(4), 1e-3)
     with pytest.raises(InvalidParamsError):
         pipeline_perturbed(MODEL4, frame, 3.0 * u, 1e-3)
+    with pytest.raises(DimensionMismatchError):
+        pipeline_perturbed(MODEL4, [np.append(frame[0], 0.0), *frame[1:]], u, 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -673,9 +682,10 @@ def test_perturbed_members_structure():
         assert abs(np.trace(member)) <= 1e-12
         assert trace_inner(member, member) == pytest.approx(1.0, abs=1e-12)
     # outputs are orthogonal to their own perturbed vector
+    members = out.members()
     for i, w in enumerate(frame):
         v_i = h @ np.diag(w) @ h.T
-        for member in (out.primed[i], out.double_primed[i]):
+        for member in members[2 * i : 2 * i + 2]:
             assert abs(trace_inner(member, v_i)) <= 1e-10
 
 
@@ -767,25 +777,79 @@ def test_min_bracket_gain_matches_gap_formula():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_stabilizer_projection_matches_generator_sum(n):
+    # the rule first_order_gram_coefficient reads: the skew part of u at
+    # the entries of the clear bits, 0 at the set ones
     model = ModelSpace(n)
     rng = np.random.default_rng(40 + n)
     s = rng.standard_normal((n, n))
     u = (s - s.T) / 2.0
+    skew = (u - u.T) / 2.0
     for mask in range(1 << len(model.pairs)):
-        got = _stabilizer_projection(model, mask, u)
+        got = np.zeros((n, n))
+        for c, (i, j) in enumerate(model.pairs):
+            if not mask >> c & 1:
+                got[i, j], got[j, i] = skew[i, j], skew[j, i]
         assert np.abs(got - stabilizer_projection(model, mask, u)).max() <= 1e-15, mask
 
 
 def test_first_order_coefficient_predicts_slope():
+    # the coefficient of the frame the pipeline doubles, as snapped
     frame, u = random_perturbation_case(MODEL4, 5)
-    exact = [_rationalize_flat(np.asarray(w)) for w in frame]
+    exact = pipeline_perturbed(MODEL4, frame, u, 0.0).snapped_frame
     coefficient = first_order_gram_coefficient(MODEL4, exact, u)
     eps = 1e-5
     dev = pipeline_perturbed(MODEL4, frame, u, eps).gram_deviation
     assert dev / eps == pytest.approx(coefficient, rel=0.05)
 
 
-@pytest.mark.parametrize("entry", [q_subspace, stabilizer_generators, min_bracket_gain])
+def _perturbed_with(model, v):
+    """``pipeline_perturbed`` on a seeded case whose first vector is ``v``."""
+    frame, u = _perturbation_case(model.n, 1)
+    return pipeline_perturbed(model, [v, *frame[1:]], u, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        q_subspace,
+        stabilizer_generators,
+        min_bracket_gain,
+        pytest.param(_perturbed_with, id="pipeline_perturbed"),
+    ],
+)
 def test_a_short_vector_is_a_dimension_mismatch(entry):
     with pytest.raises(DimensionMismatchError):
         entry(MODEL4, (1, -1, 0))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_gram_deviation_matches_the_dense_trace_products(n):
+    model = ModelSpace(n)
+    for seed in range(1, 11):
+        frame, u = _perturbation_case(n, seed)
+        for eps in (1e-2, 1e-4):
+            out = pipeline_perturbed(model, frame, u, eps)
+            want = gram_deviation_by_trace(out.members())
+            assert out.gram_deviation == pytest.approx(want, rel=1e-12, abs=1e-15), (seed, eps)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_first_order_coefficient_matches_the_commutators(n):
+    model = ModelSpace(n)
+    for seed in range(1, 11):
+        frame, u = _perturbation_case(n, seed)
+        exact = pipeline_perturbed(model, frame, u, 0.0).snapped_frame
+        want = first_order_coefficient_by_commutators(model, exact, u)
+        assert abs(first_order_gram_coefficient(model, exact, u) - want) <= 1e-15, seed
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_perturbation_cases_are_linear_on_the_snapped_frame(n):
+    # the screen reads the frame as the pipeline snaps it, so no accepted
+    # case doubles a snapped frame without a first-order term
+    model = ModelSpace(n)
+    for seed in range(1, 41):
+        frame, u = _perturbation_case(n, seed)
+        snapped = pipeline_perturbed(model, frame, u, 0.0).snapped_frame
+        coefficient = first_order_gram_coefficient(model, snapped, u)
+        assert coefficient >= _MIN_LINEAR_COEFFICIENT, (seed, coefficient)
