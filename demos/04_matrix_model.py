@@ -14,20 +14,16 @@ from fractions import Fraction
 import numpy as np
 
 from rootmatch import ModelSpace, q_subspace, sample_ratio, stabilizer_generators
-from rootmatch.modelgeom import (
-    diagonal_exact,
-    exact_commutator,
-    rotation_generator_exact,
-    stabilizer_rotation,
-    trace_inner,
-)
+from rootmatch.modelgeom import stabilizer_rotation, trace_inner
 
 model = ModelSpace(4)
 
 # Exact bracket: [k_ij, diag(t)] = (t_j - t_i)(E_ij + E_ji), decided in
-# rational arithmetic, no floating point involved.
+# object arrays of the integer generator and Fractions, no floating point
+# involved.
 t = [Fraction(5, 2), Fraction(-1, 3), Fraction(7, 6), Fraction(-10, 3)]
-bracket = exact_commutator(rotation_generator_exact(4, 0, 1), diagonal_exact(t))
+k, d = model.k_matrix(0, 1).astype(object), np.diag(t)
+bracket = k @ d - d @ k
 print("[k_01, diag(t)] =")
 for row in bracket:
     print("  ", [str(x) for x in row])

@@ -29,8 +29,7 @@ for eps in (1e-2, 1e-3, 1e-4):
         f"  deviation/eps {out.gram_deviation / eps:.6f}"
     )
 
-exact = list(pipeline_perturbed(model, frame, u, 1e-4).snapped_frame)
-predicted = first_order_gram_coefficient(model, exact, u)
+predicted = first_order_gram_coefficient(pipeline_perturbed(model, frame, u, 1e-4), u)
 print()
 print(f"first-order coefficient of the snapped frame, from its row masks: {predicted:.6f}")
 print("the quotients above converge to this value as eps shrinks")

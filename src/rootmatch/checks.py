@@ -28,17 +28,13 @@ from .modelgeom import (
     DoubledFrame,
     ModelSpace,
     RatioEstimate,
-    diagonal_exact,
-    exact_commutator,
     pipeline_flat,
     pipeline_perturbed,
     q_subspace,
     random_perturbation_case,
-    rotation_generator_exact,
     sample_ratio,
     stabilizer_generators,
     stabilizer_rotation,
-    symmetric_pair_exact,
     trace_inner,
 )
 from .rootdata import KTYPE_SO_PAIR, catalogue, dimension_errors, space
@@ -181,18 +177,21 @@ def hand_derived_instance(inputs: Inputs) -> str:
 
 
 def bracket_identity_exact(inputs: Inputs) -> str:
-    """Criterion 6: [k_ij, diag(t)] = (t_j - t_i) p_ij exactly, n = 3..8."""
+    """Criterion 6: [k_ij, diag(t)] = (t_j - t_i) p_ij exactly, n = 3..8,
+    with p_ij = |k_ij|: numpy object arrays of the integer generator and
+    Fraction diagonals, so every product is exact."""
     rng = np.random.default_rng(ALGEBRA_SEED)
     checked = 0
     for n in range(3, 9):
+        model = ModelSpace(n)
         t = [
             Fraction(int(p), int(q))
             for p, q in zip(rng.integers(-9, 10, size=n), rng.integers(1, 7, size=n))
         ]
+        d = np.diag(t)
         for i, j in itertools.combinations(range(n), 2):
-            got = exact_commutator(rotation_generator_exact(n, i, j), diagonal_exact(t))
-            want = [[(t[j] - t[i]) * x for x in row] for row in symmetric_pair_exact(n, i, j)]
-            if got != want:
+            k = model.k_matrix(i, j).astype(object)
+            if not ((k @ d - d @ k) == (t[j] - t[i]) * abs(k)).all():
                 raise CheckFailedError(f"bracket identity fails at n={n}, pair ({i}, {j})")
             checked += 1
     return f"{checked} index pairs at n=3..8"

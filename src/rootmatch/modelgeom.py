@@ -56,17 +56,15 @@ class ModelSpace:
     def epsilon_zero(self) -> float:
         return 1.0 / (self.rank + 1) ** 2
 
-    def b_matrix(self, i: int, j: int) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
+    def k_matrix(self, i: int, j: int) -> np.ndarray:
+        """Rotation generator E_ij - E_ji (unnormalized), as integers."""
+        m = np.zeros((self.n, self.n), dtype=int)
+        m[i, j], m[j, i] = 1, -1
         return m
 
-    def k_matrix(self, i: int, j: int) -> np.ndarray:
-        """Rotation generator E_ij - E_ji (unnormalized)."""
-        m = np.zeros((self.n, self.n))
-        m[i, j] = 1.0
-        m[j, i] = -1.0
-        return m
+    def b_matrix(self, i: int, j: int) -> np.ndarray:
+        """Unit symmetric b_ij = |k_ij| / sqrt(2)."""
+        return np.abs(self.k_matrix(i, j)) / np.sqrt(2.0)
 
     def flat_basis(self) -> list[np.ndarray]:
         """Orthonormal basis of the diagonal traceless subspace (Helmert rows)."""
@@ -79,60 +77,18 @@ class ModelSpace:
 
 
 # ---------------------------------------------------------------------------
-# Exact algebra helpers (used by the bracket-identity checks).
-
-
-def exact_zero_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def rotation_generator_exact(n: int, i: int, j: int) -> list[list[Fraction]]:
-    m = exact_zero_matrix(n)
-    m[i][j] = Fraction(1)
-    m[j][i] = Fraction(-1)
-    return m
-
-
-def symmetric_pair_exact(n: int, i: int, j: int) -> list[list[Fraction]]:
-    m = exact_zero_matrix(n)
-    m[i][j] = Fraction(1)
-    m[j][i] = Fraction(1)
-    return m
-
-
-def diagonal_exact(t: Sequence[Rat]) -> list[list[Fraction]]:
-    n = len(t)
-    m = exact_zero_matrix(n)
-    for i, x in enumerate(t):
-        m[i][i] = Fraction(x)
-    return m
-
-
-def exact_commutator(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]):
-    """[a, b] = ab - ba over exact rationals."""
-    n = len(a)
-    a = [[Fraction(x) for x in row] for row in a]
-    b = [[Fraction(x) for x in row] for row in b]
-    out = exact_zero_matrix(n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Haar sampling.
 
 
 def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` Haar-random matrices from O(n): the Q factors of Gaussian
+    matrices, signed so R has a positive diagonal.  No determinant is
+    fixed, since ``ratio_angles`` reads only products h_ki.h_kj and squares
+    h_kl^2, which no column sign changes, not even in the last bit."""
     z = rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(z)
-    diag = np.einsum("bii->bi", r)
-    signs = np.where(diag < 0, -1.0, 1.0)
-    q = q * signs[:, None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, -1] *= -1.0
-    return q
+    signs = np.where(np.einsum("bii->bi", r) < 0, -1.0, 1.0)
+    return q * signs[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +242,10 @@ def snap_to_singular(
     finite entries of sum 0 and norm 1, both to 1e-9).
 
     Candidate faces are the coordinate-equality subspaces; among those
-    whose distance to ``w_hat`` is at most eps0 (which must be
-    nonnegative) the one killing the most roots wins.  The dynamic
+    whose distance to ``w_hat`` is at most eps0, in [0, 1), the one
+    killing the most roots wins.  The all-equal face projects w_hat to 0
+    at distance 1, so it is never chosen and a radius of 1 or more is
+    refused.  The dynamic
     program below keeps one closest face per vanishing count, so the
     choice is read from its own squared distances.  The result is the
     normalized projection; a regular vector away from all walls comes
@@ -301,8 +259,8 @@ def snap_to_singular(
     if abs(np.linalg.norm(w) - 1.0) > 1e-9:
         raise InvalidParamsError("snap needs a unit vector")
     radius = model.epsilon_zero if eps0 is None else eps0
-    if not radius >= 0:
-        raise InvalidParamsError("snap radius must be nonnegative")
+    if not 0 <= radius < 1:
+        raise InvalidParamsError(f"snap radius must lie in [0, 1), got {radius}")
     # The closest face of each vanishing count groups the sorted coordinates
     # into intervals (Fisher 1958): per prefix of the sorted order and
     # vanishing count, keep the least squared distance and its blocks.
@@ -317,15 +275,16 @@ def snap_to_singular(
                 if sq + cost < best[end].get(vanishing + pairs, (np.inf,))[0]:
                     idx = np.sort(order[start:end])
                     best[end][vanishing + pairs] = (sq + cost, blocks + (idx,))
-    # the regular face has sq == 0.0 exactly, so some face is always in reach
-    vanishing = max(k for k, (sq, _) in best[-1].items() if np.sqrt(sq) <= radius)
+    # the regular face has sq == 0.0 exactly, so some face is always in reach;
+    # the all-equal face (the origin) is skipped, as the unit tolerance lets
+    # it come within a radius just below 1
+    vanishing = max(
+        k for k, (sq, _) in best[-1].items() if np.sqrt(sq) <= radius and k < len(model.pairs)
+    )
     proj = w.copy()
     for idx in best[-1][vanishing][1]:
         proj[idx] = w[idx].mean()
-    norm = float(np.linalg.norm(proj))
-    if norm == 0.0:
-        return w
-    return proj / norm
+    return proj / np.linalg.norm(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +340,23 @@ def _sl_space(n: int):
     return catalogue_space(f"SL({n},R)")
 
 
+def _matched(
+    model: ModelSpace, frame: Sequence[Sequence[Rat]]
+) -> tuple[MatchResult, AlgoTrace, tuple[tuple[Fraction, ...], ...]]:
+    """The greedy matching of an exact spanning frame of the flat, its
+    trace, and the frame as Fractions: the one step both pipelines
+    double."""
+    frame_spec = make_frame(_sl_space(model.n), frame)
+    vectors = frame_spec.vectors
+    if len(vectors) != model.rank or not frame_spec.spanning:
+        raise InvalidParamsError("flat pipeline needs a spanning frame of rank vectors")
+    try:
+        result, trace = greedy_match(build_matrix(frame_spec))
+    except NoMatchingError as exc:
+        raise MatchFailedError(f"no column matching: {exc}") from exc
+    return result, trace, tuple(tuple(Fraction(x) for x in v) for v in vectors)
+
+
 def pipeline_flat(
     model: ModelSpace,
     frame: Sequence[Sequence[Rat]],
@@ -392,17 +368,8 @@ def pipeline_flat(
     rotation.  The members are exactly orthonormal and orthogonal to the
     flat.
     """
-    frame_spec = make_frame(_sl_space(model.n), frame)
-    vectors = frame_spec.vectors
-    if len(vectors) != model.rank or not frame_spec.spanning:
-        raise InvalidParamsError("flat pipeline needs a spanning frame of rank vectors")
-    matrix = build_matrix(frame_spec)
-    try:
-        result, trace = greedy_match(matrix)
-    except NoMatchingError as exc:
-        raise MatchFailedError(f"no column matching: {exc}") from exc
-    snapped = tuple(tuple(Fraction(x) for x in v) for v in vectors)
-    return _doubled(model, (np.eye(model.n),) * len(vectors), result, trace, snapped)
+    match, trace, exact = _matched(model, frame)
+    return _doubled(model, (np.eye(model.n),) * len(exact), match, trace, exact)
 
 
 def _rationalize_flat(vec: np.ndarray) -> tuple[Fraction, ...]:
@@ -485,11 +452,11 @@ def pipeline_perturbed(
         snapped_exact.append(_rationalize_flat(snapped))
 
     try:
-        flat_frame = pipeline_flat(model, snapped_exact)
+        match, trace, exact = _matched(model, snapped_exact)
     except InvalidParamsError as exc:
         raise MatchFailedError(f"snapped frame degenerated: {exc}") from exc
-    rotations = [_align_rotation(h, target) for target in snapped_exact]
-    return _doubled(model, rotations, flat_frame.match, flat_frame.trace, tuple(snapped_exact))
+    rotations = [_align_rotation(h, target) for target in exact]
+    return _doubled(model, rotations, match, trace, exact)
 
 
 def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
@@ -508,12 +475,10 @@ def min_bracket_gain(model: ModelSpace, a: Sequence[Rat]) -> float:
     return float(min(gaps))
 
 
-def first_order_gram_coefficient(
-    model: ModelSpace,
-    frame: Sequence[Sequence[Rat]],
-    u: np.ndarray,
-) -> float:
-    """Leading coefficient of the perturbed Gram deviation in eps.
+def first_order_gram_coefficient(doubled: DoubledFrame, u: np.ndarray) -> float:
+    """Leading coefficient in eps of the Gram deviation of a doubled
+    frame carried off the flat by exp(eps * u), read from its row masks
+    (``doubled.trace.rows``) and matched columns.
 
     Each doubled member is carried by exp(eps * (u - P_a u)) with P_a u
     the stabilizer projection of its row a: the skew part of u at the
@@ -525,14 +490,14 @@ def first_order_gram_coefficient(
     maximum predicts whether the deviation scales linearly or
     degenerates to quadratic.
     """
-    flat = pipeline_flat(model, [tuple(Fraction(x) for x in v) for v in frame])
+    pairs = doubled.model.pairs
     skew = (u - u.T) / 2.0
-    column = {pair: c for c, pair in enumerate(model.pairs)}
-    rows = list(zip(flat.trace.rows, flat.match.pairs))
+    column = {pair: c for c, pair in enumerate(pairs)}
+    rows = list(zip(doubled.trace.rows, doubled.match.pairs))
     worst = 0.0
     for (mask_a, cols_a), (mask_b, cols_b) in itertools.combinations(rows, 2):
-        for x in (set(model.pairs[c]) for c in cols_a):
-            for y in (set(model.pairs[c]) for c in cols_b):
+        for x in (set(pairs[c]) for c in cols_a):
+            for y in (set(pairs[c]) for c in cols_b):
                 if len(x & y) == 1:
                     p, q = sorted(x ^ y)
                     if (mask_a ^ mask_b) >> column[p, q] & 1:
@@ -552,13 +517,14 @@ def random_perturbation_case(
     share one of n-1 jittered equispaced values.  A draw is kept only if
     those values stay more than three snap radii apart after
     normalization, so every other wall is out of the snap's reach.  The
-    remaining vectors are completed orthonormally and u is a unit
-    rotation generator.  Draws whose first-order Gram coefficient, taken
-    on the frame as the pipeline snaps it at eps = 0, is below
-    ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall vector whose
-    doubled members span a stabilizer-invariant plane sees no linear
-    term, and a fully regular frame degenerates to quadratic, so such
-    cases say nothing about linear scaling.
+    remaining vectors are completed orthonormally, one Gaussian draw
+    each (a draw of norm at most 1e-6 after projection rejects the
+    case), and u is a unit rotation generator.  Draws whose first-order
+    Gram coefficient, taken on the eps = 0 doubling of the perturbed
+    pipeline, is below ``_MIN_LINEAR_COEFFICIENT`` are rejected: a wall
+    vector whose doubled members span a stabilizer-invariant plane sees
+    no linear term, and a fully regular frame degenerates to quadratic,
+    so such cases say nothing about linear scaling.
     """
     rng = np.random.default_rng(seed)
     n = model.n
@@ -576,29 +542,23 @@ def random_perturbation_case(
         if np.diff(np.sort(values)).min() <= 3.0 * model.epsilon_zero * norm_raw:
             continue
         basis = [raw / norm_raw]
-        ok = True
         for _k in range(model.rank - 1):
-            for _try in range(50):
-                cand = rng.standard_normal(n)
-                cand -= cand.mean()
-                for prev in basis:
-                    cand -= np.dot(cand, prev) * prev
-                norm = np.linalg.norm(cand)
-                if norm > 1e-6:
-                    basis.append(cand / norm)
-                    break
-            else:
-                ok = False
+            cand = rng.standard_normal(n)
+            cand -= cand.mean()
+            for prev in basis:
+                cand -= np.dot(cand, prev) * prev
+            norm = np.linalg.norm(cand)
+            if norm <= 1e-6:
                 break
-        if not ok:
+            basis.append(cand / norm)
+        if len(basis) < model.rank:
             continue
         s = rng.standard_normal((n, n))
         u = (s - s.T) / 2.0
         u /= np.sqrt(trace_inner(u, u.T))
-        exact = [_rationalize_flat(snap_to_singular(model, w)) for w in basis]
         try:
-            coefficient = first_order_gram_coefficient(model, exact, u)
-        except (MatchFailedError, InvalidParamsError):
+            coefficient = first_order_gram_coefficient(pipeline_perturbed(model, basis, u, 0.0), u)
+        except MatchFailedError:
             continue
         if coefficient < _MIN_LINEAR_COEFFICIENT:
             continue

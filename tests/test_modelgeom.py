@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, helmert
 
-from rootmatch import modelgeom
+from rootmatch import checks, modelgeom
 from rootmatch.errors import (
     BNotInQError,
+    CheckFailedError,
     DimensionMismatchError,
     EpsilonTooLargeError,
     InvalidParamsError,
@@ -21,9 +22,6 @@ from rootmatch.modelgeom import (
     _exp_skew,
     _haar_batch,
     _MIN_LINEAR_COEFFICIENT,
-    _rationalize_flat,
-    diagonal_exact,
-    exact_commutator,
     first_order_gram_coefficient,
     min_bracket_gain,
     pipeline_flat,
@@ -31,13 +29,11 @@ from rootmatch.modelgeom import (
     q_subspace,
     random_perturbation_case,
     ratio_angles,
-    rotation_generator_exact,
     sample_ratio,
     sample_ratios,
     snap_to_singular,
     stabilizer_generators,
     stabilizer_rotation,
-    symmetric_pair_exact,
     trace_inner,
 )
 from rootmatch.rootdata import space
@@ -54,8 +50,8 @@ MODEL4 = ModelSpace(4)
 
 
 def haar_rotation(n, seed):
-    """One Haar rotation from SO(n), reproducible from the seed: the first
-    of a seeded ``_haar_batch``."""
+    """One Haar-random orthogonal matrix from O(n), reproducible from the
+    seed: the first of a seeded ``_haar_batch``."""
     return _haar_batch(np.random.default_rng(seed), n, 1)[0]
 
 
@@ -63,26 +59,58 @@ def random_rationals(rng, n):
     return [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, size=n), rng.integers(1, 7, size=n))]
 
 
+def _bracket(model, i, j, t):
+    """[k_ij, diag(t)] in numpy object arrays of ints and Fractions."""
+    k = model.k_matrix(i, j).astype(object)
+    d = np.diag(t)
+    return k @ d - d @ k
+
+
 def test_bracket_identity_exact_all_sizes():
     rng = np.random.default_rng(3)
     for n in range(3, 9):
+        model = ModelSpace(n)
         t = random_rationals(rng, n)
         for i in range(n):
             for j in range(i + 1, n):
-                got = exact_commutator(
-                    rotation_generator_exact(n, i, j), diagonal_exact(t)
-                )
-                factor = t[j] - t[i]
-                want = [
-                    [factor * x for x in row] for row in symmetric_pair_exact(n, i, j)
-                ]
-                assert got == want
+                want = (t[j] - t[i]) * abs(model.k_matrix(i, j).astype(object))
+                assert (_bracket(model, i, j, t) == want).all()
 
 
 def test_bracket_vanishes_inside_stabilizer():
     t = [Fraction(1), Fraction(1), Fraction(1), Fraction(-3)]
-    got = exact_commutator(rotation_generator_exact(4, 0, 1), diagonal_exact(t))
-    assert all(all(x == 0 for x in row) for row in got)
+    assert (_bracket(MODEL4, 0, 1, t) == 0).all()
+
+
+def test_bracket_stays_exact():
+    # integer generators and Fraction diagonals: no float enters criterion 6
+    for n in (3, 6):
+        model = ModelSpace(n)
+        t = random_rationals(np.random.default_rng(n), n)
+        for i, j in model.pairs:
+            k = model.k_matrix(i, j)
+            assert np.issubdtype(k.dtype, np.integer)
+            assert k[i, j] == 1 and k[j, i] == -1 and np.count_nonzero(k) == 2
+            assert all(type(x) in (int, Fraction) for x in _bracket(model, i, j, t).flat)
+
+
+def test_b_matrix_is_the_scaled_generator():
+    for i, j in MODEL4.pairs:
+        want = np.zeros((4, 4))
+        want[i, j] = want[j, i] = 1.0 / np.sqrt(2.0)
+        assert MODEL4.b_matrix(i, j).tobytes() == want.tobytes()
+
+
+def test_criterion_6_catches_a_symmetric_generator(monkeypatch):
+    # a planted fault: k_ij = E_ij + E_ji commutes wrongly with diag(t)
+    def symmetric(self, i, j):
+        m = np.zeros((self.n, self.n), dtype=int)
+        m[i, j] = m[j, i] = 1
+        return m
+
+    monkeypatch.setattr(ModelSpace, "k_matrix", symmetric)
+    with pytest.raises(CheckFailedError, match=r"n=3, pair \(0, 1\)"):
+        checks.bracket_identity_exact(checks.Inputs())
 
 
 def test_fperp_gram_and_count():
@@ -127,7 +155,7 @@ def test_haar_rotation_contract():
     for n in (3, 4, 6):
         r = haar_rotation(n, 17)
         assert np.abs(r @ r.T - np.eye(n)).max() <= 1e-12
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.linalg.det(r)) == pytest.approx(1.0, abs=1e-10)
     assert np.array_equal(haar_rotation(5, 9), haar_rotation(5, 9))
     assert not np.array_equal(haar_rotation(5, 9), haar_rotation(5, 10))
 
@@ -353,6 +381,22 @@ def test_sample_ratios_equal_lone_calls(n, samples):
         assert (est.samples, est.seed) == (samples, 3)
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_sample_ratios_ignore_column_signs(monkeypatch, n):
+    # ratio_angles reads products h_ki.h_kj and squares h_kl^2, so O(n)
+    # draws give the estimates of SO(n) draws bit for bit
+    model, pairs = _verify_pairs(n)
+    plain = sample_ratios(model, pairs, 2500, 4)
+    signs = np.random.default_rng(n)
+
+    def flipped(rng, n, count):
+        hs = _haar_batch(rng, n, count)
+        return hs * signs.choice([-1.0, 1.0], size=(count, 1, n))
+
+    monkeypatch.setattr(modelgeom, "_haar_batch", flipped)
+    assert sample_ratios(model, pairs, 2500, 4) == plain
+
+
 @pytest.mark.parametrize("samples", [0, -5, 2.5, True, "100"])
 def test_sample_ratios_refuse_zero_evidence(monkeypatch, samples):
     draws = []
@@ -462,6 +506,18 @@ def test_snap_on_wall_is_fixed():
     w = np.asarray([0.5, 0.5, -0.5, -0.5])
     snapped = snap_to_singular(MODEL4, w)
     assert np.array_equal(snapped, w)
+
+
+def test_snap_below_radius_one_never_returns_the_origin():
+    # the all-equal face lies at distance |w| = 1; below it, the most
+    # singular face within reach still wins
+    w = np.asarray([3.0, 1.0, -1.0, -3.0]) / np.sqrt(20.0)
+    want = np.asarray([1.0, 1.0, 1.0, -3.0]) / np.sqrt(12.0)
+    assert np.allclose(snap_to_singular(MODEL4, w, 0.99), want, atol=1e-15)
+    # short of unit norm by less than the tolerance, the all-equal face
+    # comes within a radius below 1, and is still passed over
+    short = snap_to_singular(MODEL4, w * (1.0 - 5e-10), 1.0 - 1e-10)
+    assert np.allclose(short, want, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -652,8 +708,11 @@ def test_perturbed_parameter_validation():
         lambda frame, u: pipeline_perturbed(MODEL4, frame, u, float("nan")),
         lambda frame, u: snap_to_singular(MODEL4, frame[0], -0.1),
         lambda frame, u: snap_to_singular(MODEL4, frame[0], float("nan")),
+        lambda frame, u: snap_to_singular(MODEL4, frame[0], 1.0),
+        lambda frame, u: snap_to_singular(MODEL4, frame[0], 1.5),
+        lambda frame, u: snap_to_singular(MODEL4, frame[0], float("inf")),
     ],
-    ids=["eps-nan", "radius-negative", "radius-nan"],
+    ids=["eps-nan", "radius-negative", "radius-nan", "radius-one", "radius-1.5", "radius-inf"],
 )
 def test_bad_perturbation_sizes_are_refused(call):
     # nan passes neither eps < 0 nor eps > 0, so it must be refused as
@@ -795,11 +854,12 @@ def test_stabilizer_projection_matches_generator_sum(n):
 def test_first_order_coefficient_predicts_slope():
     # the coefficient of the frame the pipeline doubles, as snapped
     frame, u = random_perturbation_case(MODEL4, 5)
-    exact = pipeline_perturbed(MODEL4, frame, u, 0.0).snapped_frame
-    coefficient = first_order_gram_coefficient(MODEL4, exact, u)
+    coefficient = first_order_gram_coefficient(pipeline_perturbed(MODEL4, frame, u, 0.0), u)
     eps = 1e-5
-    dev = pipeline_perturbed(MODEL4, frame, u, eps).gram_deviation
-    assert dev / eps == pytest.approx(coefficient, rel=0.05)
+    out = pipeline_perturbed(MODEL4, frame, u, eps)
+    assert out.gram_deviation / eps == pytest.approx(coefficient, rel=0.05)
+    # the doubling at eps snaps to the same faces, so it gives the same coefficient
+    assert first_order_gram_coefficient(out, u) == coefficient
 
 
 def _perturbed_with(model, v):
@@ -838,9 +898,9 @@ def test_first_order_coefficient_matches_the_commutators(n):
     model = ModelSpace(n)
     for seed in range(1, 11):
         frame, u = _perturbation_case(n, seed)
-        exact = pipeline_perturbed(model, frame, u, 0.0).snapped_frame
-        want = first_order_coefficient_by_commutators(model, exact, u)
-        assert abs(first_order_gram_coefficient(model, exact, u) - want) <= 1e-15, seed
+        doubled = pipeline_perturbed(model, frame, u, 0.0)
+        want = first_order_coefficient_by_commutators(model, doubled.snapped_frame, u)
+        assert abs(first_order_gram_coefficient(doubled, u) - want) <= 1e-15, seed
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -850,6 +910,5 @@ def test_perturbation_cases_are_linear_on_the_snapped_frame(n):
     model = ModelSpace(n)
     for seed in range(1, 41):
         frame, u = _perturbation_case(n, seed)
-        snapped = pipeline_perturbed(model, frame, u, 0.0).snapped_frame
-        coefficient = first_order_gram_coefficient(model, snapped, u)
+        coefficient = first_order_gram_coefficient(pipeline_perturbed(model, frame, u, 0.0), u)
         assert coefficient >= _MIN_LINEAR_COEFFICIENT, (seed, coefficient)
