@@ -7,11 +7,26 @@ that zero tests are decisions, not tolerance checks.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
+from .errors import InvalidParamsError
+
 Rat = Union[int, Fraction]
+
+
+def as_int(x, what: str, least: int | None = None) -> int:
+    """``operator.index(x)``, the one reading of an integer argument: a
+    bool, a value without ``__index__`` or one below ``least`` is an
+    ``InvalidParamsError``."""
+    if isinstance(x, bool) or not hasattr(x, "__index__"):
+        raise InvalidParamsError(f"{what} must be an integer, got {x!r}")
+    x = operator.index(x)
+    if least is not None and x < least:
+        raise InvalidParamsError(f"{what} must be at least {least}, got {x}")
+    return x
 
 
 _INT = {int}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import re
 import sys
 from dataclasses import InitVar, dataclass
@@ -27,7 +28,7 @@ from .errors import (
     MalformedMatrixError,
     RootmatchError,
 )
-from .exact import Rat, integer_rank, integer_row
+from .exact import Rat, as_int, integer_rank, integer_row
 from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor, flat_row
 
 Vector = tuple[Rat, ...]
@@ -426,8 +427,16 @@ def random_frames(
     attempts in a row raise ``RuntimeError``.  The draws of an attempt do
     not depend on earlier verdicts, so attempts are drawn in chunks and
     tested for spanning together: mod p first, then exactly for the
-    attempts that look rank deficient mod p.
+    attempts that look rank deficient mod p.  ``count`` and
+    ``max_attempts`` are integers of at least 1, ``seed`` a nonnegative
+    integer and ``singular_fraction`` a number in [0, 1], all checked
+    before any draw.
     """
+    count = as_int(count, "frame count", 1)
+    seed = as_int(seed, "seed", 0)
+    max_attempts = as_int(max_attempts, "max_attempts", 1)
+    if not (isinstance(singular_fraction, numbers.Real) and 0 <= singular_fraction <= 1):
+        raise InvalidParamsError(f"singular_fraction must lie in [0, 1], got {singular_fraction!r}")
     draws = _Draws(seed)
     frames: list[FrameSpec] = []
     k = space.rank

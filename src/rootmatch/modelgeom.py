@@ -12,7 +12,6 @@ over Haar-random rotations.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,7 @@ from .errors import (
     NoMatchingError,
     NotInFlatError,
 )
-from .exact import Rat
+from .exact import Rat, as_int
 from .framematrix import build_matrix, make_frame
 from .matcher import AlgoTrace, MatchResult, greedy_match
 from .rootdata import build_root_system, flat_row, space as catalogue_space
@@ -82,13 +81,19 @@ class ModelSpace:
 
 def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """``count`` Haar-random matrices from O(n): the Q factors of Gaussian
-    matrices, signed so R has a positive diagonal.  No determinant is
-    fixed, since ``ratio_angles`` reads only products h_ki.h_kj and squares
-    h_kl^2, which no column sign changes, not even in the last bit."""
-    z = rng.standard_normal((count, n, n))
-    q, r = np.linalg.qr(z)
-    signs = np.where(np.einsum("bii->bi", r) < 0, -1.0, 1.0)
-    return q * signs[:, None, :]
+    matrices whose R has a positive diagonal, by classical Gram-Schmidt
+    with one reorthogonalization (CGS2) over the whole batch, column by
+    column.  No determinant is fixed, since ``ratio_angles`` reads only
+    products h_ki.h_kj and squares h_kl^2, which no column sign changes,
+    not even in the last bit."""
+    # cols[k, :, b] is column k of matrix b, so each step runs over the batch
+    cols = np.ascontiguousarray(rng.standard_normal((count, n, n)).T)
+    for k in range(n):
+        v, prev = cols[k], cols[:k]
+        for _ in range(2 if k else 0):
+            v -= np.einsum("kb,kib->ib", np.einsum("kib,ib->kb", prev, v), prev)
+        v /= np.sqrt(np.einsum("ib,ib->b", v, v))
+    return np.ascontiguousarray(cols.T)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +153,19 @@ _CHUNK = 2000
 
 
 def ratio_angles(
-    i: int, j: int, v_hat: np.ndarray, rotations: np.ndarray
+    i: int, j: int, v_hat: np.ndarray, rotations: np.ndarray, squares: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angles of h.b_ij to Fperp and of h.diag(v_hat) to F for each rotation
     h, ``v_hat`` a unit vector: the arcsin of the complementary projection
     norm, accurate near zero.  The flat parts are the conjugates' diagonals,
-    sqrt(2) h_ki h_kj and sum_l h_kl^2 v_hat_l.
+    sqrt(2) h_ki h_kj and sum_l h_kl^2 v_hat_l; ``squares``, when given,
+    is ``rotations * rotations``, taken once for many calls.
     """
     x_diag = rotations[:, :, i] * rotations[:, :, j]
-    y_diag = (rotations * rotations) @ v_hat
+    y_diag = (rotations * rotations if squares is None else squares) @ v_hat
     num = np.arcsin(np.clip(np.sqrt(2.0) * np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
     den = np.arcsin(np.sqrt(np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0)))
     return num, den
-
-
-def _as_int(x, what: str) -> int:
-    """``operator.index(x)``; a bool or a value without ``__index__`` is an
-    ``InvalidParamsError``."""
-    if isinstance(x, bool) or not hasattr(x, "__index__"):
-        raise InvalidParamsError(f"{what} must be an integer, got {x!r}")
-    return operator.index(x)
 
 
 def sample_ratios(
@@ -192,15 +190,11 @@ def sample_ratios(
     count.  Each pair goes through its own ``ratio_angles`` call on each
     chunk, so its estimate is bit for bit the one it gets alone.
     """
-    samples = _as_int(samples, "sample count")
-    if samples < 1:
-        raise InvalidParamsError("ratio sampling needs at least one sample")
-    seed = _as_int(seed, "seed")
-    if seed < 0:
-        raise InvalidParamsError(f"seed must be nonnegative, got {seed}")
+    samples = as_int(samples, "sample count", 1)
+    seed = as_int(seed, "seed", 0)
     units = []
     for v, c in pairs:
-        c = _as_int(c, "column")
+        c = as_int(c, "column")
         if c not in range(len(model.pairs)):
             raise InvalidParamsError(f"column {c} is not one of the {len(model.pairs)} columns")
         if not _row_mask(model, v) >> c & 1:
@@ -211,8 +205,9 @@ def sample_ratios(
     best, zeros = [0.0] * len(units), [0] * len(units)
     for start in range(0, samples, _CHUNK):
         hs = _haar_batch(rng, model.n, min(_CHUNK, samples - start))
+        squares = hs * hs
         for k, (i, j, v_hat) in enumerate(units):
-            num, den = ratio_angles(i, j, v_hat, hs)
+            num, den = ratio_angles(i, j, v_hat, hs, squares)
             keep = den >= 1e-6
             zeros[k] += int((~keep).sum())
             if keep.any():
@@ -264,17 +259,24 @@ def snap_to_singular(
     # The closest face of each vanishing count groups the sorted coordinates
     # into intervals (Fisher 1958): per prefix of the sorted order and
     # vanishing count, keep the least squared distance and its blocks.
-    order = np.argsort(w, kind="stable")
-    best = [{0: (0.0, ())}] + [{} for _ in w]
-    for end in range(1, len(w) + 1):
-        for start in range(end):
-            block = w[order[start:end]]
-            cost = float(((block - block.mean()) ** 2).sum())
+    # Blocks are extended one coordinate at a time, over plain floats; each
+    # sum runs left to right, numpy's own order for fewer than 8 entries.
+    xs = w.tolist()
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    ys = sorted(xs)
+    best = [{0: (0.0, ())}] + [{} for _ in ys]
+    for start in range(len(ys)):
+        total = 0.0
+        for end in range(start + 1, len(ys) + 1):
+            total += ys[end - 1]
+            mean = total / (end - start)
+            cost = 0.0
+            for y in ys[start:end]:
+                cost += (y - mean) * (y - mean)
             pairs = (end - start) * (end - start - 1) // 2
             for vanishing, (sq, blocks) in best[start].items():
                 if sq + cost < best[end].get(vanishing + pairs, (np.inf,))[0]:
-                    idx = np.sort(order[start:end])
-                    best[end][vanishing + pairs] = (sq + cost, blocks + (idx,))
+                    best[end][vanishing + pairs] = (sq + cost, blocks + ((start, end),))
     # the regular face has sq == 0.0 exactly, so some face is always in reach;
     # the all-equal face (the origin) is skipped, as the unit tolerance lets
     # it come within a radius just below 1
@@ -282,7 +284,8 @@ def snap_to_singular(
         k for k, (sq, _) in best[-1].items() if np.sqrt(sq) <= radius and k < len(model.pairs)
     )
     proj = w.copy()
-    for idx in best[-1][vanishing][1]:
+    for start, end in best[-1][vanishing][1]:
+        idx = sorted(order[start:end])
         proj[idx] = w[idx].mean()
     return proj / np.linalg.norm(proj)
 
@@ -379,9 +382,8 @@ def _rationalize_flat(vec: np.ndarray) -> tuple[Fraction, ...]:
     snapped vector is preserved exactly.
     """
     fr = [Fraction(float(x)) for x in vec]
-    total = sum(fr)
-    n = len(fr)
-    return tuple(x - total / n for x in fr)
+    mean = sum(fr) / len(fr)
+    return tuple(x - mean for x in fr)
 
 
 def _align_rotation(h: np.ndarray, target: Sequence[Fraction]) -> np.ndarray:

@@ -104,3 +104,39 @@ def align_rotation_by_eigh(v_mat, target):
         u, _s, vt = np.linalg.svd(m[np.ix_(block, block)])
         rot[:, block] = m[:, block] @ (u @ vt).T
     return rot
+
+
+def haar_batch_by_lapack_qr(rng, n, count):
+    """The Q factors of ``count`` Gaussian n x n matrices by LAPACK's QR,
+    each column signed so R has a positive diagonal: the oracle of
+    ``modelgeom._haar_batch``, drawing the same matrices from ``rng``."""
+    z = rng.standard_normal((count, n, n))
+    q, r = np.linalg.qr(z)
+    signs = np.where(np.einsum("bii->bi", r) < 0, -1.0, 1.0)
+    return q * signs[:, None, :]
+
+
+def snap_by_numpy_blocks(w, radius):
+    """The snap of a unit flat vector ``w`` (a float array) within
+    ``radius``, by the dynamic program of ``modelgeom.snap_to_singular``
+    with one numpy reduction per (start, end) block: the oracle of its
+    plain-float sums."""
+    order = np.argsort(w, kind="stable")
+    best = [{0: (0.0, ())}] + [{} for _ in w]
+    for end in range(1, len(w) + 1):
+        for start in range(end):
+            block = w[order[start:end]]
+            cost = float(((block - block.mean()) ** 2).sum())
+            pairs = (end - start) * (end - start - 1) // 2
+            for vanishing, (sq, blocks) in best[start].items():
+                if sq + cost < best[end].get(vanishing + pairs, (np.inf,))[0]:
+                    idx = np.sort(order[start:end])
+                    best[end][vanishing + pairs] = (sq + cost, blocks + (idx,))
+    all_equal = len(w) * (len(w) - 1) // 2
+    vanishing = max(
+        k for k, (sq, _) in best[-1].items() if np.sqrt(sq) <= radius and k < all_equal
+    )
+    proj = w.copy()
+    for idx in best[-1][vanishing][1]:
+        proj[idx] = w[idx].mean()
+    return proj / np.linalg.norm(proj)

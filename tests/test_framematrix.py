@@ -10,6 +10,7 @@ from numbers import Integral
 import numpy as np
 import pytest
 
+from rootmatch import framematrix
 from rootmatch.chamber import fundamental_coweights, stabilizer_codim
 from rootmatch.errors import (
     DimensionMismatchError,
@@ -207,6 +208,31 @@ def test_random_frames_deterministic():
     assert [f.vectors for f in a] == [f.vectors for f in b]
     c = random_frames(SL4, 25, seed=14)
     assert [f.vectors for f in a] != [f.vectors for f in c]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(count=-1),
+        dict(count=2.5),
+        dict(count=True),
+        dict(seed=-1),
+        dict(seed=2.5),
+        dict(seed=True),
+        dict(singular_fraction=float("nan")),
+        dict(singular_fraction=1.5),
+        dict(singular_fraction=-0.1),
+        dict(max_attempts=0),
+        dict(max_attempts=-1),
+    ],
+    ids=repr,
+)
+def test_random_frames_refuse_bad_arguments_before_drawing(monkeypatch, kwargs):
+    draws = []
+    monkeypatch.setattr(framematrix, "_Draws", lambda seed: draws.append(seed) or _Draws(seed))
+    with pytest.raises(InvalidParamsError):
+        random_frames(SL4, **{"count": 5, "seed": 1, **kwargs})
+    assert draws == []
 
 
 def test_random_frames_pinned():

@@ -43,6 +43,8 @@ from oracles import (
     angle_to_subspace,
     first_order_coefficient_by_commutators,
     gram_deviation_by_trace,
+    haar_batch_by_lapack_qr,
+    snap_by_numpy_blocks,
     stabilizer_projection,
 )
 
@@ -158,6 +160,44 @@ def test_haar_rotation_contract():
         assert abs(np.linalg.det(r)) == pytest.approx(1.0, abs=1e-10)
     assert np.array_equal(haar_rotation(5, 9), haar_rotation(5, 9))
     assert not np.array_equal(haar_rotation(5, 9), haar_rotation(5, 10))
+
+
+class _FixedDraws:
+    """A stand-in ``Generator`` whose ``standard_normal`` returns given matrices."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+def _assert_q_factors(q, z, want):
+    """``q`` agrees with ``want``, is orthogonal, and q^T z is upper
+    triangular with a positive diagonal: the Q factors of ``z``."""
+    assert np.abs(q - want).max() <= 1e-13
+    assert np.abs(np.einsum("bki,bkj->bij", q, q) - np.eye(z.shape[-1])).max() <= 1e-14
+    r = np.einsum("bki,bkj->bij", q, z)
+    assert np.abs(np.tril(r, -1)).max() <= 1e-13
+    assert (np.einsum("bii->bi", r) > 0).all()
+
+
+@pytest.mark.parametrize("count", [1, 7, 2000])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_haar_batch_matches_lapack_qr(n, count):
+    for seed in (1, 2, 3, 4, 5):  # the default seeds of rootmatch verify
+        z = np.random.default_rng(seed).standard_normal((count, n, n))
+        q = _haar_batch(np.random.default_rng(seed), n, count)
+        _assert_q_factors(q, z, haar_batch_by_lapack_qr(np.random.default_rng(seed), n, count))
+
+
+def test_haar_batch_matches_lapack_qr_on_ill_conditioned_draws():
+    z = np.random.default_rng(0).standard_normal((50_000, 8, 8))
+    worst = z[np.argsort(np.linalg.cond(z))[-7:]]
+    assert np.linalg.cond(worst).min() > 1e5
+    q = _haar_batch(_FixedDraws(worst), 8, 7)
+    _assert_q_factors(q, worst, haar_batch_by_lapack_qr(_FixedDraws(worst), 8, 7))
 
 
 def test_haar_statistics():
@@ -623,6 +663,27 @@ def test_snap_with_repeated_coordinates(n):
             vanishing, dist, _proj = _face(w, part)
             assert vanishing == -neg_vanishing
             assert abs(dist - want_dist) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_snap_matches_numpy_block_sums(n):
+    # 2,000 vectors per n: random, exactly tied, and tied but for moves of
+    # at most 1e-9, each at a radius drawn from [0, 1)
+    model = ModelSpace(n)
+    rng = np.random.default_rng(300 + n)
+    for t in range(2000):
+        if t % 3 == 0:
+            w = _unit_flat(rng.standard_normal(n))
+        else:
+            k = rng.integers(2, n)  # distinct values, one used at least twice
+            slots = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+            w = rng.standard_normal(k)[rng.permutation(slots)]
+            if t % 3 == 2:
+                w += rng.uniform(-5e-10, 5e-10, size=n)
+            w = _unit_flat(w)
+        radius = model.epsilon_zero if t % 10 == 0 else rng.uniform(0.0, 1.0)
+        got = snap_to_singular(model, w, radius)
+        assert np.array_equal(got, snap_by_numpy_blocks(w, radius)), (n, t, radius)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
