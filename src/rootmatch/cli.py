@@ -63,12 +63,19 @@ def _digest(payload) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(text: str, output: str | None) -> bool:
+    """Write a report to the ``--output`` file or, without one, to stdout.
+    False, after an error line on stderr, when the file cannot be written."""
+    if not output:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write output file {output!r}: {exc.strerror or exc}\n")
+        return False
+    return True
 
 
 def _json_report(obj) -> str:
@@ -504,8 +511,7 @@ def main(argv=None) -> int:
     except RootmatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(text, output)
-    return code
+    return code if _emit(text, output) else 2
 
 
 def entrypoint() -> None:

@@ -555,6 +555,21 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert "SL(4,R)" in target.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("catalogue",), ("verify", "--n", "4", "--samples", "200", "--seeds", "1,2")],
+    ids=["catalogue", "verify"],
+)
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_output_flag_unwritable_path_is_config_error(tmp_path, capsys, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_all_quick_sweep(capsys):
     code, out, _err = run(
         capsys,

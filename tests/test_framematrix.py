@@ -35,7 +35,7 @@ from rootmatch.framematrix import (
     random_frames,
     verify_properties,
 )
-from rootmatch.rootdata import catalogue, space
+from rootmatch.rootdata import build_root_system, catalogue, space
 
 from oracles import evaluate_root
 
@@ -222,6 +222,7 @@ def test_random_frames_deterministic():
         dict(singular_fraction=float("nan")),
         dict(singular_fraction=1.5),
         dict(singular_fraction=-0.1),
+        dict(singular_fraction=True),
         dict(max_attempts=0),
         dict(max_attempts=-1),
     ],
@@ -254,9 +255,12 @@ def test_random_frames_pinned():
 # The raw-word sampler against numpy's Generator.
 
 
-def _oracle_random_frames(space_, count, seed, *, singular_fraction=0.5, max_attempts=200):
+def _oracle_random_frames(
+    space_, count, seed, *, singular_fraction=0.5, max_attempts=200, zero_draws=None
+):
     """The sampler written on ``np.random.default_rng``: one numpy call per
-    draw and one exact rank per attempt."""
+    draw and one exact rank per attempt.  Each regular vector drawn as
+    zero, and so drawn again, is appended to the list ``zero_draws``."""
     rng = np.random.default_rng(seed)
     k, dim, family = space_.rank, space_.coord_dim, space_.rootsys.family
     coweights = [primitive_integer(w) for w in fundamental_coweights(space_.rootsys)]
@@ -278,6 +282,8 @@ def _oracle_random_frames(space_, count, seed, *, singular_fraction=0.5, max_att
                 v = [dim * x - total for x in v]
             if any(v):
                 return v
+            if zero_draws is not None:
+                zero_draws.append(v)
 
     def face_vector():
         while True:
@@ -349,6 +355,131 @@ def test_random_frames_max_attempts_outcome():
                     else:
                         succeeded += 1
     assert raised > 10 and succeeded > 10
+
+
+def test_random_frames_pinned_whole_corpora():
+    # the corpora of `rootmatch all` at its first seeds, 42 spaces x 1,000
+    # frames each, as the per-draw sampler drew them
+    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
+    assert len(spaces) == 42
+    pinned = {1: "cdd4740734f08f55", 6: "9fc8e9a7af4879cc", 12: "58bf7f4e1d3c8fb4"}
+    for seed, want in pinned.items():
+        corpus = [(s.name, [f.vectors for f in random_frames(s, 1000, seed=seed)]) for s in spaces]
+        assert hashlib.sha256(repr(corpus).encode()).hexdigest()[:16] == want, seed
+    # the corpus whose frame 991 strands leftmost greedy (CI's fuzz sweep)
+    vectors = [f.vectors for f in random_frames(SL4, 1000, seed=6)]
+    assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:16] == "08658bf4fbcf68b5"
+
+
+def _count_calls(monkeypatch, name):
+    """Replace ``framematrix.<name>`` by a wrapper; return its call list."""
+    calls, wrapped = [], getattr(framematrix, name)
+    monkeypatch.setattr(framematrix, name, lambda *a: calls.append(a) or wrapped(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["SL(4,R)", "SO(2,3)", "Sp(4,R)", "SU(2,2)"])
+def test_random_frames_redraw_zero_vectors_in_the_decision_pass(monkeypatch, name):
+    # the oracle draws zero regular vectors in these corpora (a collision
+    # onto a 0 in dim 2, four equal coordinates in SL(4,R)); the decision
+    # pass redraws them itself, without rewinding to the per-draw code
+    s = space(name)
+    zero_draws = []
+    want = _oracle_random_frames(s, 1000, 1, zero_draws=zero_draws)
+    rewinds = _count_calls(monkeypatch, "_draw_attempt")
+    assert [f.vectors for f in random_frames(s, 1000, seed=1)] == want
+    assert zero_draws and rewinds == []
+
+
+def test_random_frames_redraw_zero_vectors_of_the_a_family_in_dim_2():
+    # SL(2,R): a collision always makes the vector zero, so two coordinates
+    # other than the collided one do not exist to be compared
+    sl2 = dataclasses.replace(SL4, name="SL(2,R)", rank=1, rootsys=build_root_system("A", 1))
+    zero_draws = []
+    want = _oracle_random_frames(sl2, 300, 2, singular_fraction=0.0, zero_draws=zero_draws)
+    assert [f.vectors for f in random_frames(sl2, 300, seed=2, singular_fraction=0.0)] == want
+    assert len(zero_draws) > 50
+
+
+class _PlantedPCG64:
+    """PCG64's raw words, with the half-word of stream index ``half``
+    (2 * word, plus 1 for a high half) set to 0."""
+
+    def __init__(self, seed, half):
+        self._bitgen = np.random.PCG64(seed)
+        self._half = half
+        self._drawn = 0  # words handed out so far
+
+    def random_raw(self, size):
+        words = self._bitgen.random_raw(size)
+        at = self._half - 2 * self._drawn
+        if 0 <= at < 2 * size:
+            words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
+        self._drawn += size
+        return words
+
+
+def test_chunk_decoder_rewinds_at_a_rejected_coordinate(monkeypatch):
+    # Lemire's method rejects h = 0 at range 19 (19 * 0 mod 2**32 < 6) and
+    # draws again, which moves every later draw; the build finds the
+    # rejected half-word, keeps the attempts before it and redraws its
+    # attempt with the per-draw code
+    s = space("SO(4,6)")
+    k, dim, family = s.rank, s.coord_dim, s.rootsys.family
+    coweights = framematrix._integer_coweights(s.rootsys)
+    # the third coordinate of the first regular vector from attempt 30 on
+    # of a fresh stream, whose block indices are stream indices
+    n_singulars, _masks, runs, _collisions = framematrix._decide(_Draws(5), 40, k, dim, family, 0.5)
+    at = next(a for a in range(30, 40) if n_singulars[a] < k)
+    half = (runs[at * k + n_singulars[at]] & 0xFFFFFFFF) + 1
+
+    def planted_draws():
+        draws = _Draws(5)
+        draws._bitgen = _PlantedPCG64(5, half)
+        return draws
+
+    draws = planted_draws()
+    want = [framematrix._draw_attempt(draws, k, dim, family, coweights, 0.5) for _ in range(40)]
+    draws = _Draws(5)
+    unplanted = [framematrix._draw_attempt(draws, k, dim, family, coweights, 0.5) for _ in range(40)]
+    assert want[:at] == unplanted[:at] and want[at + 1 :] != unplanted[at + 1 :]
+
+    rewinds = _count_calls(monkeypatch, "_draw_attempt")
+    draws = planted_draws()
+    first = framematrix._draw_chunk(draws, s, 40, 0.5)
+    assert len(first) == at + 1 and len(rewinds) == 1
+    rest = framematrix._draw_chunk(draws, s, 40 - len(first), 0.5)
+    assert np.concatenate((first, rest)).tolist() == want
+    assert len(rewinds) == 1
+
+
+def test_chunk_decoder_carries_a_half_word_across_a_block_refill(monkeypatch):
+    # one word per refill: a run whose first draw is the high half of a
+    # word read before a refill, and whose second draw is read after it
+    monkeypatch.setattr(framematrix, "_WORDS", 1)
+    crossings = 0
+    refills = []
+    extend, decide = _Draws._extend, framematrix._decide
+
+    def counting_extend(self, end):
+        refills.append(len(self.block))  # the index of the first new word
+        extend(self, end)
+
+    def counting_decide(draws, *args):
+        nonlocal crossings
+        refills.clear()
+        decided = decide(draws, *args)
+        for run in decided[2]:
+            first, rest = run >> 32, run & 0xFFFFFFFF
+            crossings += first % 2 == 1 and any(first // 2 < b <= rest // 2 for b in refills)
+        return decided
+
+    monkeypatch.setattr(_Draws, "_extend", counting_extend)
+    monkeypatch.setattr(framematrix, "_decide", counting_decide)
+    for name in ("SL(5,R)", "SO(3,4)"):
+        s = space(name)
+        assert [f.vectors for f in random_frames(s, 100, seed=4)] == _oracle_random_frames(s, 100, 4)
+    assert crossings > 100
 
 
 def _half_words(seed, count):
