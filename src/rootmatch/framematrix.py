@@ -262,449 +262,84 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
 # ---------------------------------------------------------------------------
 # Random spanning frames for fuzzing.
 #
-# The draws are exactly those of ``np.random.default_rng(seed)``, read
-# from the raw words of its bit generator (PCG64, O'Neill 2014).
-# ``_draw_attempt`` defines an attempt a draw at a time through
-# ``_Draws``; ``_draw_chunk`` draws up to ``_CHUNK`` attempts at once, in
-# two steps over the same stream state:
+# Attempt a reads the raw words [a * W, (a + 1) * W) of
+# ``np.random.PCG64(seed).random_raw`` (O'Neill 2014) as 32-bit halves,
+# low half first.  An attempt uses H = 2 + k * (1 + k + dim + 4) halves,
+# and W = ceil(H / 2) is fixed for each (k, dim), whatever the attempt
+# draws.  The halves, in order:
 #
-# - ``_decide``, one Python pass, makes the draws that steer the stream:
-#   whether an attempt is singular and how many face vectors it has,
-#   each face mask (drawn again when it keeps no coweight), and each
-#   regular vector's collision test, pair and choice.  The coefficients
-#   of a face vector and the coordinates of a regular vector are runs of
-#   bounded draws of one half-word each: the pass notes where each run
-#   starts and steps over it.  A regular vector that comes out zero is
-#   drawn again, as in ``_random_vector``.  For that test the block's
-#   half-words are also kept mapped onto [-9, 9] (``_coordinate_bytes``,
-#   one numpy map per refill); one or two of them rule zero out for
-#   almost every vector, and only the rest are read in full.
-# - ``_build`` turns the runs into one (attempts, k, dim) int64 array:
-#   the coordinates gathered from that map, the collisions by fancy
-#   indexing, the A-family detrace, and the face vectors as coefficient
-#   rows times the integer coweights.
+# - the singular test, h < ceil(singular_fraction * 2**32), and
+#   n_singular = 1 + (h * k >> 32) when it holds, else 0;
+# - for each of the k slots: a face mask, 1 + (h * (2**k - 2) >> 32), one
+#   of the proper nonempty masks; k coefficients, 1 + (h >> 30);
+#   dim coordinates, -9 + (h * 19 >> 32); the collision test,
+#   h < ceil(0.3 * 2**32); the pair i = h * dim >> 32 and
+#   j = (i + 1 + (h' * (dim - 1) >> 32)) mod dim; and the choice of
+#   v[j] = v[i], -v[i] or 0, below 1/2, below 8/10 or else of 2**32
+#   (always v[i] for the A family).
 #
-# The pass takes every coordinate half-word as accepted by Lemire's
-# method; one in about 7e8 is not (19 h mod 2**32 < 6), and the rest of
-# the chunk then reads the wrong draws.  The build finds the first
-# attempt that holds one: the attempts before it are kept, the pass is
-# replayed from the chunk's start to that attempt, and that attempt alone
-# is drawn by ``_draw_attempt``.  Face coefficients (range 4) are never
-# rejected, and a face vector is never zero: the coweights are
-# independent and the coefficients positive.
-#
-# The block starts at the first word a chunk reads and grows by
-# ``_WORDS`` words as the pass needs them, so it holds about one chunk's
-# draws (some 4,600 words at rank 6); a single frame, as ``verify``
-# draws, reads one refill.
+# The first n_singular slots are face vectors: the sum, over the clear
+# bits i of the mask, of coefficient i times integer coweight i.  The
+# others are regular vectors: the coordinates with the collision, if
+# any, applied and, for the A family, detraced.  A half h becomes a draw
+# from range(n) by multiply-shift, h * n >> 32, with no rejection: each
+# value has probability within 2**-32 of 1/n, a bias below n * 2**-32.
+# A regular vector that comes out zero is not drawn again; its attempt
+# does not span and is rejected like any other.  Since every attempt
+# reads a fixed span of words, the chunking cannot change a corpus, and
+# the frames for a count N are a prefix of those for any larger count.
 
-_WORDS = 1024  # raw PCG64 words added to the block at a time
 _CHUNK = 128  # most attempts drawn and tested for spanning together
 _P = 2**31 - 1  # prime modulus of the batched spanning test
 # entries mod p are below 2**31, so lead * a - f * b stays exact in int64
 assert 2 * (_P - 1) ** 2 < 2**63
-_LOW = 0xFFFFFFFF
-# a coordinate draw maps a half-word h to _COORD_LOW + (h * _SPAN >> 32),
-# unless h * _SPAN mod 2**32 is below _REJECT_BELOW, where Lemire's
-# method draws again
-_SPAN = 19
-_COORD_LOW = -9
-_REJECT_BELOW = 2**32 % _SPAN
-_REJECTED = 255  # in _coordinate_bytes: no coordinate
-
-
-def _coordinate_bytes(words: np.ndarray) -> bytes:
-    """Each half-word of ``words``, low half first, read as a coordinate
-    draw by Lemire's method: the coordinate minus ``_COORD_LOW``, or
-    ``_REJECTED`` where the method rejects the half-word."""
-    halves = words.astype("<u8", copy=False).view("<u4").astype(np.int64) * _SPAN
-    coordinates = (halves >> 32).astype(np.uint8)
-    coordinates[halves % 2**32 < _REJECT_BELOW] = _REJECTED
-    return coordinates.tobytes()
-
-
-class _Draws:
-    """The ``Generator`` calls the sampler makes, from raw PCG64 words.
-
-    The words are read from ``block``, a uint64 array that grows by
-    ``_WORDS`` words when a draw runs past its end and drops the words
-    already used when a chunk begins (``trim``); ``pos`` is the index of
-    the next unread word.  ``random()`` takes a whole word.  A bounded
-    integer takes a 32-bit half-word, low half first; the upper half is
-    kept for the next bounded draw, also across ``random()`` calls, as
-    ``carry``, the index of its word (-1 for none).  The half-word is
-    mapped to the range by Lemire's multiply-and-reject method (Lemire
-    2019), as numpy does for ranges up to 2**32.
-    """
-
-    def __init__(self, seed: int):
-        self._bitgen = np.random.PCG64(seed)
-        self.block = np.empty(0, dtype=np.uint64)
-        self._words = memoryview(self.block)  # reads words as Python ints
-        self.coordinates = b""  # _coordinate_bytes of the block
-        self.pos = 0
-        self.carry = -1
-
-    def _extend(self, end: int) -> None:
-        """Grow the block to at least ``end`` words."""
-        short = end - len(self.block)
-        if short > 0:
-            fresh = self._bitgen.random_raw(-(-short // _WORDS) * _WORDS)
-            self.block = np.concatenate((self.block, fresh))
-            self._words = memoryview(self.block)
-            self.coordinates += _coordinate_bytes(fresh)
-
-    def trim(self) -> None:
-        """Drop the words before the carried one or, with none, the next."""
-        keep = self.carry if self.carry >= 0 else self.pos
-        if keep:
-            self.block = self.block[keep:]
-            self._words = memoryview(self.block)
-            self.coordinates = self.coordinates[2 * keep :]
-            self.pos -= keep
-            if self.carry >= 0:
-                self.carry = 0
-
-    def _uint32(self) -> int:
-        carry = self.carry
-        if carry >= 0:
-            self.carry = -1
-            return self._words[carry] >> 32
-        pos = self.carry = self.pos
-        if pos == len(self.block):
-            self._extend(pos + 1)
-        self.pos = pos + 1
-        return self._words[pos] & _LOW
-
-    def _below(self, n: int) -> int:
-        """Uniform on range(n), 1 <= n <= 2**32; n == 1 draws nothing."""
-        if n == 1:
-            return 0
-        m = self._uint32() * n
-        if m & _LOW < n:
-            threshold = 2**32 % n
-            while m & _LOW < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def random(self) -> float:
-        """``Generator.random()``."""
-        pos = self.pos
-        if pos == len(self.block):
-            self._extend(pos + 1)
-        self.pos = pos + 1
-        return (self._words[pos] >> 11) * 2.0**-53
-
-    def integers(self, low: int, high: int) -> int:
-        """``Generator.integers(low, high)``."""
-        return low + self._below(high - low)
-
-    def integer_list(self, low: int, high: int, size: int) -> list[int]:
-        """``Generator.integers(low, high, size=size).tolist()``."""
-        return [low + self._below(high - low) for _ in range(size)]
-
-    def pair(self, n: int) -> tuple[int, int]:
-        """``Generator.choice(n, 2, replace=False)``: Floyd's algorithm,
-        then the one-step shuffle of the two picks."""
-        i = self._below(n - 1)
-        j = self._below(n)
-        if j == i:
-            j = n - 1
-        if self._below(2) == 0:
-            i, j = j, i
-        return i, j
 
 
 @functools.lru_cache(maxsize=None)
-def _integer_coweights(rootsys: RootSystem) -> tuple[tuple[int, ...], ...]:
+def _integer_coweights(rootsys: RootSystem) -> np.ndarray:
+    """The fundamental coweights as primitive integer rows, a read-only
+    (rank, dim) int64 array shared by every caller."""
     from .chamber import fundamental_coweights
     from .exact import primitive_integer
 
-    return tuple(primitive_integer(w) for w in fundamental_coweights(rootsys))
+    rows = np.array([primitive_integer(w) for w in fundamental_coweights(rootsys)], dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
 
 
-@functools.lru_cache(maxsize=None)
-def _coefficient_order(rank: int) -> np.ndarray:
-    """Per face mask, for each coweight, which of the face's coefficients
-    multiplies it: t for the t-th coweight outside the mask, and ``rank``,
-    a zero column, for those inside.  A (2**rank, rank) array."""
-    order = np.full((1 << rank, rank), rank)
-    for smask in range(1 << rank):
-        outside = [i for i in range(rank) if not smask >> i & 1]
-        order[smask, outside] = range(len(outside))
-    order.flags.writeable = False  # shared by every caller
-    return order
-
-
-def _detrace(v: list[int], dim: int) -> list[int]:
-    s = sum(v)
-    return [dim * x - s for x in v]
-
-
-def _random_vector(dim: int, family: str, draws: _Draws) -> list[int]:
-    while True:
-        v = draws.integer_list(_COORD_LOW, _COORD_LOW + _SPAN, dim)
-        if draws.random() < 0.3 and dim >= 2:
-            # Deliberately collide coordinates to land on or near walls.
-            i, j = draws.pair(dim)
-            choice = draws.random()
-            if family == "A" or choice < 0.5:
-                v[j] = v[i]
-            elif choice < 0.8:
-                v[j] = -v[i]
-            else:
-                v[j] = 0
-        if family == "A":
-            v = _detrace(v, dim)
-        if any(v):
-            return v
-
-
-def _random_face_vector(
-    rank: int, dim: int, coweights: Sequence[Sequence[int]], draws: _Draws
-) -> list[int]:
-    while True:
-        smask = draws.integers(1, 1 << rank)  # nonempty, proper after filter
-        outside = [i for i in range(rank) if not smask >> i & 1]
-        if not outside:
-            continue
-        v = [0] * dim
-        for i in outside:
-            c = draws.integers(1, 5)
-            v = [a + c * x for a, x in zip(v, coweights[i])]
-        if any(v):
-            return v
-
-
-def _draw_attempt(
-    draws: _Draws, k: int, dim: int, family: str, coweights, singular_fraction: float
-) -> list[list[int]]:
-    """One attempt, a draw at a time: the definition ``_decide`` and
-    ``_build`` follow."""
-    n_singular = 0
-    if draws.random() < singular_fraction:
-        n_singular = draws.integers(1, k + 1)
-    vectors = [_random_face_vector(k, dim, coweights, draws) for _ in range(n_singular)]
-    vectors += [_random_vector(dim, family, draws) for _ in range(k - n_singular)]
-    return vectors
-
-
-def _decide(
-    draws: _Draws, attempts: int, k: int, dim: int, family: str, singular_fraction: float
-):
-    """The decision pass over ``attempts`` attempts of ``_draw_attempt``.
-
-    Slot s is vector s % k of attempt s // k; the attempt's first
-    ``n_singular`` vectors are face vectors.  A slot's run of coefficient
-    or coordinate draws is noted as the half-word indices (2 * word, plus
-    1 for a high half) of its first two draws, first << 32 | second; the
-    rest follow the second in order.  Returns, as lists of ints, each
-    attempt's ``n_singular``, each face vector's mask, each slot's run,
-    and each collision as its slot, i, j and factor, for
-    v[j] = factor * v[i].  The stream state is kept in locals and
-    written back at the end.
-    """
-    n_singulars, masks, runs, collisions = [], [], [], []
-    note = runs.append
-    full = (1 << k) - 1
-    equal = family == "A"  # zero vectors have equal coordinates, not zero ones
-    words, coordinates, pos, carry = draws._words, draws.coordinates, draws.pos, draws.carry
-    end = len(words)
-
-    def grow():
-        nonlocal words, coordinates, end
-        draws._extend(pos + 1)
-        words, coordinates = draws._words, draws.coordinates
-        end = len(words)
-
-    def random():
-        # _Draws.random
-        nonlocal pos
-        if pos == end:
-            grow()
-        pos += 1
-        return (words[pos - 1] >> 11) * 2.0**-53
-
-    def below(n):
-        # _Draws._below
-        nonlocal pos, carry
-        if n == 1:
-            return 0
-        if carry >= 0:
-            m = (words[carry] >> 32) * n
-            carry = -1
-        else:
-            if pos == end:
-                grow()
-            m = (words[pos] & _LOW) * n
-            carry = pos
-            pos += 1
-        if m & _LOW < n:
-            draws.pos, draws.carry = pos, carry
-            while m & _LOW < 2**32 % n:
-                m = draws._uint32() * n
-            pos, carry = draws.pos, draws.carry
-            grow()  # the redraws may have grown the block
-        return m >> 32
-
-    def is_zero(first, rest, j):
-        # whether the regular vector with this coordinate run and
-        # collision target j (-1 for none) is zero: every coordinate but
-        # j is 0 or, for the A family, equal; False when a coordinate
-        # is rejected, for the build to find
-        drawn = coordinates[first : first + 1] + coordinates[rest : rest + dim - 1]
-        target = drawn[1 if j == 0 else 0] if equal else zero
-        if target == _REJECTED:
-            return False
-        if j < 0:
-            return drawn.count(target) == dim
-        return drawn[j] != _REJECTED and drawn.count(target) - (drawn[j] == target) == dim - 1
-
-    def skip(size):
-        # steps over size bounded draws and notes their run
-        nonlocal pos, carry
-        if carry >= 0:
-            note((2 * carry + 1) << 32 | 2 * pos)
-            size -= 1
-            carry = -1
-        else:
-            note(2 * pos << 32 | 2 * pos + 1)
-        pos += size >> 1
-        if size & 1:
-            carry = pos
-            pos += 1
-        if pos >= end:
-            grow()
-
-    # random() < t read off the raw word w: (w >> 11) * 2**-53 < t
-    # exactly when w < ceil(t * 2**53) << 11
-    singular_below = math.ceil(singular_fraction * 2**53) << 11
-    collide_below = math.ceil(0.3 * 2**53) << 11 if dim >= 2 else 0
-    zero = -_COORD_LOW  # a zero coordinate, in _coordinate_bytes
-    for slot in range(0, attempts * k, k):
-        if pos == end:
-            grow()
-        pos += 1
-        n_singular = 1 + below(k) if words[pos - 1] < singular_below else 0
-        n_singulars.append(n_singular)
-        for _ in range(n_singular):
-            smask = full
-            while smask == full:
-                smask = 1 + below(full)
-            masks.append(smask)
-            skip(k - smask.bit_count())
-        for s in range(slot + n_singular, slot + k):
-            while True:  # _random_vector
-                # skip(dim), inline: most draws are made here
-                if carry >= 0:
-                    first, rest = 2 * carry + 1, 2 * pos
-                    carry = -1
-                    pos += (dim - 1) >> 1
-                    if not dim & 1:
-                        carry = pos
-                        pos += 1
-                else:
-                    first = 2 * pos
-                    rest = first + 1
-                    pos += dim >> 1
-                    if dim & 1:
-                        carry = pos
-                        pos += 1
-                if pos >= end:
-                    grow()
-                pos += 1
-                j = -1
-                if words[pos - 1] < collide_below:
-                    # _Draws.pair(dim), then the choice
-                    i = below(dim - 1)
-                    j = below(dim)
-                    if j == i:
-                        j = dim - 1
-                    if below(2) == 0:
-                        i, j = j, i
-                    choice = random()
-                    factor = 1 if equal or choice < 0.5 else -1 if choice < 0.8 else 0
-                # a zero vector's coordinates other than j are 0 or, for
-                # the A family, equal: test one or two of them first
-                a = rest if j == 0 else first
-                if equal:
-                    maybe = dim == 2 and j >= 0 or (
-                        coordinates[a] == coordinates[rest + 1 if 0 <= j <= 1 else rest]
-                    )
-                else:
-                    maybe = coordinates[a] == zero
-                if not (maybe and is_zero(first, rest, j)):
-                    break
-            note(first << 32 | rest)
-            if j >= 0:
-                collisions.extend((s, i, j, factor))
-    draws.pos, draws.carry = pos, carry
-    draws._extend(pos + k // 2 + 1)  # the build reads k half-words per face run
-    return n_singulars, masks, runs, collisions
-
-
-def _run_index(runs: np.ndarray, size: int) -> np.ndarray:
-    """The half-word indices of the first ``size`` draws of each run that
-    ``_decide`` notes, one row per run."""
-    index = (runs % 2**32)[:, None] + np.arange(-1, size - 1)
-    index[:, 0] = runs >> 32
-    return index
-
-
-def _build(draws: _Draws, attempts: int, k: int, dim: int, family: str, coweights, decided):
-    """The numpy build of ``_decide``'s attempts: an (attempts, k, dim)
-    int64 array, and the first attempt with a rejected coordinate
-    half-word (``attempts`` when there is none), from which on the
-    array is wrong."""
-    n_singulars, masks, runs, collisions = decided
-    runs = np.array(runs, dtype=np.int64)
-    face = (np.arange(k) < np.array(n_singulars)[:, None]).ravel()
-    regular = ~face
-    coordinates = np.frombuffer(draws.coordinates, dtype=np.uint8)[_run_index(runs[regular], dim)]
-    rejected = (coordinates == _REJECTED).any(axis=1)
-    # in place from here on: face rows are filled in last
-    vectors = np.zeros((attempts * k, dim), dtype=np.int64)
-    vectors[regular] = coordinates
-    vectors += _COORD_LOW
-    if collisions:
-        slot, i, j, factor = np.array(collisions, dtype=np.int64).reshape(-1, 4).T
-        vectors[slot, j] = factor * vectors[slot, i]
-    if family == "A":
-        total = vectors.sum(axis=1, keepdims=True)
-        vectors *= dim
-        vectors -= total
-    if masks:
-        # the range 4 divides 2**32: Lemire's method takes every
-        # half-word h, and a coefficient is 1 + (h >> 30)
-        index = _run_index(runs[face], k)
-        words = draws.block.view(np.int64)
-        coefficients = np.zeros((len(masks), k + 1), dtype=np.int64)
-        coefficients[:, :k] = (words[index >> 1] >> index % 2 * 32 + 30) % 4 + 1
-        order = _coefficient_order(k)[masks]
-        coefficients = np.take_along_axis(coefficients, order, axis=1)
-        vectors[face] = (coefficients[:, :, None] * coweights).sum(axis=1)
-    first = np.flatnonzero(regular)[rejected.argmax()] // k if rejected.any() else attempts
-    return vectors.reshape(attempts, k, dim), int(first)
-
-
-def _draw_chunk(
-    draws: _Draws, space: SpaceDescriptor, attempts: int, singular_fraction: float
+def _draw_attempts(
+    bitgen: np.random.PCG64, space: SpaceDescriptor, attempts: int, singular_fraction: float
 ) -> np.ndarray:
-    """Up to ``attempts`` attempts as one (attempts, k, dim) int64 array:
-    all of them or, when ``_build`` finds a rejected coordinate draw,
-    those before its attempt and that attempt drawn by ``_draw_attempt``."""
-    k, dim, family = space.rank, space.coord_dim, space.rootsys.family
-    draws.trim()
-    start = draws.pos, draws.carry
-    decided = _decide(draws, attempts, k, dim, family, singular_fraction)
-    coweights = _integer_coweights(space.rootsys)
-    vectors, first = _build(draws, attempts, k, dim, family, np.array(coweights), decided)
-    if first < attempts:
-        draws.pos, draws.carry = start
-        _decide(draws, first, k, dim, family, singular_fraction)  # to the start of attempt first
-        redrawn = _draw_attempt(draws, k, dim, family, coweights, singular_fraction)
-        vectors = np.concatenate((vectors[:first], np.array([redrawn], dtype=np.int64)))
-    return vectors
+    """The next ``attempts`` attempts of the word layout above, as one
+    (attempts, k, dim) int64 array: the one reader of the stream."""
+    k, dim = space.rank, space.coord_dim
+    per_slot = 1 + k + dim + 4
+    used = 2 + k * per_slot
+    words = bitgen.random_raw(attempts * -(-used // 2))
+    halves = words.astype("<u8", copy=False).view("<u4").reshape(attempts, -1)
+    h = halves[:, :used].astype(np.int64)
+    singular = h[:, 0] < math.ceil(singular_fraction * 2**32)
+    n_singular = np.where(singular, 1 + (h[:, 1] * k >> 32), 0)
+    h = h[:, 2:].reshape(attempts, k, per_slot)
+
+    masks = 1 + (h[..., :1] * (2**k - 2) >> 32)
+    coefficients = np.where(masks >> np.arange(k) & 1, 0, 1 + (h[..., 1 : 1 + k] >> 30))
+    face = coefficients @ _integer_coweights(space.rootsys)
+
+    regular = -9 + (h[..., 1 + k : 1 + k + dim] * 19 >> 32)
+    collide, pick_i, pick_j, choice = h[..., -4:].transpose(2, 0, 1)
+    a, s = np.nonzero(collide < (math.ceil(0.3 * 2**32) if dim >= 2 else 0))
+    i = pick_i[a, s] * dim >> 32
+    j = (i + 1 + (pick_j[a, s] * (dim - 1) >> 32)) % dim
+    if space.rootsys.family == "A":
+        regular[a, s, j] = regular[a, s, i]
+        regular = dim * regular - regular.sum(axis=2, keepdims=True)
+    else:
+        c = choice[a, s]
+        factor = np.where(c < 2**31, 1, np.where(c < math.ceil(0.8 * 2**32), -1, 0))
+        regular[a, s, j] = factor * regular[a, s, i]
+    is_face = np.arange(k) < n_singular[:, None]
+    return np.where(is_face[..., None], face, regular)
 
 
 def _spans_mod_p(attempts, k: int) -> np.ndarray:
@@ -748,11 +383,12 @@ def random_frames(
     Each frame is the next attempt that spans; ``max_attempts`` rejected
     attempts in a row raise ``RuntimeError``.  The draws of an attempt do
     not depend on earlier verdicts, so attempts are drawn in chunks
-    (``_draw_chunk``) and tested for spanning together: mod p first,
+    (``_draw_attempts``) and tested for spanning together: mod p first,
     then exactly for the attempts that look rank deficient mod p.
     ``count`` and ``max_attempts`` are integers of at least 1, ``seed``
     a nonnegative integer and ``singular_fraction`` a real number in
-    [0, 1], not a bool, all checked before any draw.
+    [0, 1], not a bool, and 0 for a rank-1 space, which has no proper
+    nonempty face mask; all are checked before any draw.
     """
     count = as_int(count, "frame count", 1)
     seed = as_int(seed, "seed", 0)
@@ -761,13 +397,18 @@ def random_frames(
         isinstance(singular_fraction, numbers.Real) and 0 <= singular_fraction <= 1
     ):
         raise InvalidParamsError(f"singular_fraction must lie in [0, 1], got {singular_fraction!r}")
-    draws = _Draws(seed)
+    if singular_fraction > 0 and space.rank < 2:
+        raise InvalidParamsError(
+            f"{space.name} has rank 1 and no proper face: singular_fraction must be 0"
+        )
+    bitgen = np.random.PCG64(seed)
     frames: list[FrameSpec] = []
     k = space.rank
     rejected = 0
     while len(frames) < count:
         need = count - len(frames)
-        attempts = _draw_chunk(draws, space, min(_CHUNK, need + need // 8 + 4), singular_fraction)
+        size = min(_CHUNK, need + need // 8 + 4)
+        attempts = _draw_attempts(bitgen, space, size, singular_fraction)
         for vectors, spans in zip(attempts.tolist(), _spans_mod_p(attempts, k).tolist()):
             if rejected >= max_attempts:
                 raise RuntimeError(f"could not sample a spanning frame for {space.name}")

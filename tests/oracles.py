@@ -1,11 +1,14 @@
 """Reference computations the tests compare the package against."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from rootmatch.chamber import fundamental_coweights
 from rootmatch.errors import DimensionMismatchError, ZeroVectorError
+from rootmatch.exact import exact_rank, primitive_integer
 from rootmatch.modelgeom import pipeline_flat, trace_inner
 
 
@@ -140,3 +143,62 @@ def snap_by_numpy_blocks(w, radius):
     for idx in best[-1][vanishing][1]:
         proj[idx] = w[idx].mean()
     return proj / np.linalg.norm(proj)
+
+
+def random_frames_by_attempt(space, count, seed, *, singular_fraction=0.5, max_attempts=200):
+    """The fuzz sampler's word layout read one attempt at a time: the
+    attempt's raw PCG64 words drawn by one ``random_raw`` call, each half
+    decoded by plain int arithmetic, and each attempt tested by exact rank.
+    Returns the frames' vectors, or raises ``RuntimeError`` after
+    ``max_attempts`` rejected attempts in a row: the oracle of the numpy
+    build in ``framematrix.random_frames``."""
+    bitgen = np.random.PCG64(seed)
+    k, dim, family = space.rank, space.coord_dim, space.rootsys.family
+    coweights = [primitive_integer(w) for w in fundamental_coweights(space.rootsys)]
+    used = 2 + k * (1 + k + dim + 4)
+
+    def attempt():
+        halves = []
+        for word in bitgen.random_raw((used + 1) // 2).tolist():
+            halves += [word % 2**32, word >> 32]
+        read = iter(halves).__next__
+        singular, size = read(), read()
+        n_singular = 1 + size * k // 2**32 if singular < math.ceil(singular_fraction * 2**32) else 0
+        vectors = []
+        for slot in range(k):
+            mask = 1 + read() * (2**k - 2) // 2**32
+            coefficients = [1 + read() // 2**30 for _ in range(k)]
+            v = [-9 + read() * 19 // 2**32 for _ in range(dim)]
+            collide, pick_i, pick_j, choice = read(), read(), read(), read()
+            if slot < n_singular:
+                face = [0] * dim
+                for i, c in enumerate(coefficients):
+                    if not mask >> i & 1:
+                        face = [a + c * x for a, x in zip(face, coweights[i])]
+                vectors.append(face)
+                continue
+            if dim >= 2 and collide < math.ceil(0.3 * 2**32):
+                i = pick_i * dim // 2**32
+                j = (i + 1 + pick_j * (dim - 1) // 2**32) % dim
+                if family == "A" or choice < 2**31:
+                    v[j] = v[i]
+                elif choice < math.ceil(0.8 * 2**32):
+                    v[j] = -v[i]
+                else:
+                    v[j] = 0
+            if family == "A":
+                total = sum(v)
+                v = [dim * x - total for x in v]
+            vectors.append(v)
+        return vectors
+
+    frames = []
+    while len(frames) < count:
+        for _ in range(max_attempts):
+            vectors = attempt()
+            if exact_rank(vectors) == k:
+                frames.append(tuple(map(tuple, vectors)))
+                break
+        else:
+            raise RuntimeError(f"could not sample a spanning frame for {space.name}")
+    return frames

@@ -34,7 +34,7 @@ def test_criterion_2_codimension_bounds():
 def test_criterion_3_matrix_properties():
     evidence = _run(3, 120.0, checks.fuzz_properties_and_matching)
     # the seed-1 corpus holds leftmost-greedy dead ends, and the evidence counts them
-    assert evidence.endswith(", 308 deferring runs, 323 deferred pairs)")
+    assert evidence.endswith(", 355 deferring runs, 368 deferred pairs)")
 
 
 def test_criterion_4_two_per_row_matching():

@@ -277,11 +277,12 @@ def test_match_trace_of_a_failed_pass(tmp_path, capsys):
 def test_match_greedy_oracle_disagreement_is_reported(tmp_path, capsys):
     # Selection matrices on which the leftmost greedy pass strands a row
     # although a matching exists: the spanning SL(4,R) frame
-    # (-8,8,-8,8), (6,-6,-6,6), (-2,-2,2,2), and frame 991 of
-    # random_frames(SL(4,R), 1000, seed=6), (3,3,-3,-3), (10,2,2,-14),
-    # (14,-14,-14,14), whose matrix is also that of frame 267 of the
-    # seed-12 corpus, (3,3,-3,-3), (11,-1,-1,-9), (18,-18,-18,18).  Greedy
-    # defers a pair, finds a matching and agrees with the oracle.
+    # (-8,8,-8,8), (6,-6,-6,6), (-2,-2,2,2), and (3,3,-3,-3),
+    # (10,2,2,-14), (14,-14,-14,14), which the former sampler, built on
+    # numpy Generator calls, drew as frame 991 of the seed-6 SL(4,R)
+    # corpus; the matrices are explicit inputs, since today's corpora hold
+    # other frames.  Greedy defers a pair, finds a matching and agrees
+    # with the oracle.
     matrix = tmp_path / "matrix.json"
     for entries in (
         [[1, 0, 1, 1, 0, 1], [1, 1, 0, 0, 1, 1], [0, 1, 1, 1, 1, 0]],

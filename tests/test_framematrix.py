@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rootmatch import framematrix
-from rootmatch.chamber import fundamental_coweights, stabilizer_codim
+from rootmatch.chamber import stabilizer_codim
 from rootmatch.errors import (
     DimensionMismatchError,
     EmptyFrameError,
@@ -22,11 +22,10 @@ from rootmatch.errors import (
     NotInFlatError,
     ZeroVectorError,
 )
-from rootmatch.exact import exact_rank, integer_rows, primitive_integer
+from rootmatch.exact import exact_rank, integer_rows
 from rootmatch.framematrix import (
     _P,
     SelectionMatrix,
-    _Draws,
     _spans_mod_p,
     build_matrix,
     load_frame,
@@ -37,7 +36,7 @@ from rootmatch.framematrix import (
 )
 from rootmatch.rootdata import build_root_system, catalogue, space
 
-from oracles import evaluate_root
+from oracles import evaluate_root, random_frames_by_attempt
 
 SL4 = space("SL(4,R)")
 
@@ -210,6 +209,13 @@ def test_random_frames_deterministic():
     assert [f.vectors for f in a] != [f.vectors for f in c]
 
 
+def _count_calls(monkeypatch, name):
+    """Replace ``framematrix.<name>`` by a wrapper; return its call list."""
+    calls, wrapped = [], getattr(framematrix, name)
+    monkeypatch.setattr(framematrix, name, lambda *a: calls.append(a) or wrapped(*a))
+    return calls
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -229,100 +235,57 @@ def test_random_frames_deterministic():
     ids=repr,
 )
 def test_random_frames_refuse_bad_arguments_before_drawing(monkeypatch, kwargs):
-    draws = []
-    monkeypatch.setattr(framematrix, "_Draws", lambda seed: draws.append(seed) or _Draws(seed))
+    draws = _count_calls(monkeypatch, "_draw_attempts")
     with pytest.raises(InvalidParamsError):
         random_frames(SL4, **{"count": 5, "seed": 1, **kwargs})
     assert draws == []
 
 
+SL2 = dataclasses.replace(SL4, name="SL(2,R)", rank=1, rootsys=build_root_system("A", 1))
+
+
+@pytest.mark.parametrize("fraction", [1e-9, 0.5, 1.0])
+def test_random_frames_refuse_singular_frames_at_rank_1(monkeypatch, fraction):
+    # a rank-1 space has no proper nonempty face mask to draw a face from
+    draws = _count_calls(monkeypatch, "_draw_attempts")
+    with pytest.raises(InvalidParamsError, match="rank 1"):
+        random_frames(SL2, 5, seed=1, singular_fraction=fraction)
+    assert draws == []
+
+
+def test_random_frames_draw_regular_frames_at_rank_1(monkeypatch):
+    # SL(2,R): a collision always makes the vector zero, and its attempt
+    # is rejected
+    draws = _count_calls(monkeypatch, "_draw_attempts")
+    frames = [f.vectors for f in random_frames(SL2, 300, seed=2, singular_fraction=0.0)]
+    assert draws
+    assert frames == random_frames_by_attempt(SL2, 300, 2, singular_fraction=0.0)
+    assert all(any(v) for (v,) in frames)
+
+
 def test_random_frames_pinned():
-    # The draw stream is fixed: same rng calls in the same order.  These
-    # digests of repr([f.vectors ...]) were taken before the sampler's
-    # per-call lookups were hoisted out of its per-vector helpers.
+    # digests of repr([f.vectors ...]) of the word layout's first frames
     pinned = {
-        "SL(4,R)": "65232ab3473aed20",
-        "Sp(6,R)": "1a40b829b255a9a2",
-        "SO(5,7)": "06a062def9182622",
-        "SU(6,6)": "f0adcb4e4a32ad17",
+        "SL(4,R)": "2e4baa68e494a256",
+        "Sp(6,R)": "7639efb668255f7f",
+        "SO(5,7)": "aa1b613b13e36a89",
+        "SU(6,6)": "d7706bf32fdac29d",
     }
     for name, want in pinned.items():
         vectors = [f.vectors for f in random_frames(space(name), 200, seed=1)]
         assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:16] == want, name
 
 
-# ---------------------------------------------------------------------------
-# The raw-word sampler against numpy's Generator.
-
-
-def _oracle_random_frames(
-    space_, count, seed, *, singular_fraction=0.5, max_attempts=200, zero_draws=None
-):
-    """The sampler written on ``np.random.default_rng``: one numpy call per
-    draw and one exact rank per attempt.  Each regular vector drawn as
-    zero, and so drawn again, is appended to the list ``zero_draws``."""
-    rng = np.random.default_rng(seed)
-    k, dim, family = space_.rank, space_.coord_dim, space_.rootsys.family
-    coweights = [primitive_integer(w) for w in fundamental_coweights(space_.rootsys)]
-
-    def regular_vector():
-        while True:
-            v = rng.integers(-9, 10, size=dim).tolist()
-            if rng.random() < 0.3 and dim >= 2:
-                i, j = rng.choice(dim, size=2, replace=False)
-                choice = rng.random()
-                if family == "A" or choice < 0.5:
-                    v[j] = v[i]
-                elif choice < 0.8:
-                    v[j] = -v[i]
-                else:
-                    v[j] = 0
-            if family == "A":
-                total = sum(v)
-                v = [dim * x - total for x in v]
-            if any(v):
-                return v
-            if zero_draws is not None:
-                zero_draws.append(v)
-
-    def face_vector():
-        while True:
-            smask = int(rng.integers(1, 1 << k))
-            outside = [i for i in range(k) if not smask >> i & 1]
-            if not outside:
-                continue
-            v = [0] * dim
-            for i in outside:
-                c = int(rng.integers(1, 5))
-                for n, x in enumerate(coweights[i]):
-                    v[n] += c * x
-            if any(v):
-                return v
-
-    frames = []
-    for _ in range(count):
-        for _attempt in range(max_attempts):
-            n_singular = 0
-            if rng.random() < singular_fraction:
-                n_singular = int(rng.integers(1, k + 1))
-            vectors = [face_vector() for _ in range(n_singular)]
-            vectors += [regular_vector() for _ in range(k - n_singular)]
-            if exact_rank(vectors) == k:
-                frames.append(tuple(tuple(v) for v in vectors))
-                break
-        else:
-            raise RuntimeError(f"could not sample a spanning frame for {space_.name}")
-    return frames
-
-
 def test_random_frames_match_generator_oracle():
+    # the numpy build against the bit generator's words read one attempt
+    # at a time
     spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
     assert len(spaces) == 42
     for seed in (1, 6, 12):
         for s in spaces:
             frames = random_frames(s, 200, seed=seed)
             assert all(f.spanning and f.space is s for f in frames)
-            assert [f.vectors for f in frames] == _oracle_random_frames(s, 200, seed), (
+            assert [f.vectors for f in frames] == random_frames_by_attempt(s, 200, seed), (
                 s.name,
                 seed,
             )
@@ -348,7 +311,7 @@ def test_random_frames_max_attempts_outcome():
                     got = _outcome(
                         lambda: [f.vectors for f in random_frames(s, 30, seed, **kwargs)]
                     )
-                    want = _outcome(lambda: _oracle_random_frames(s, 30, seed, **kwargs))
+                    want = _outcome(lambda: random_frames_by_attempt(s, 30, seed, **kwargs))
                     assert got == want, (name, max_attempts, seed, fraction)
                     if isinstance(got, str):
                         raised += 1
@@ -357,176 +320,69 @@ def test_random_frames_max_attempts_outcome():
     assert raised > 10 and succeeded > 10
 
 
+def test_random_frames_are_a_prefix_of_longer_corpora():
+    # each attempt reads its own span of words, so the chunk sizes that a
+    # count leads to cannot change a frame
+    for name in ("SL(4,R)", "SO(3,5)", "SU(3,3)", "Sp(4,R)"):
+        s = space(name)
+        short = [f.vectors for f in random_frames(s, 37, seed=9)]
+        assert short == [f.vectors for f in random_frames(s, 500, seed=9)][:37], name
+
+
 def test_random_frames_pinned_whole_corpora():
     # the corpora of `rootmatch all` at its first seeds, 42 spaces x 1,000
-    # frames each, as the per-draw sampler drew them
+    # frames each
     spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
     assert len(spaces) == 42
-    pinned = {1: "cdd4740734f08f55", 6: "9fc8e9a7af4879cc", 12: "58bf7f4e1d3c8fb4"}
+    pinned = {1: "5a69fb5b0c28b7a4", 6: "80004afa4ec39322", 12: "28a687fa57789724"}
     for seed, want in pinned.items():
         corpus = [(s.name, [f.vectors for f in random_frames(s, 1000, seed=seed)]) for s in spaces]
         assert hashlib.sha256(repr(corpus).encode()).hexdigest()[:16] == want, seed
-    # the corpus whose frame 991 strands leftmost greedy (CI's fuzz sweep)
-    vectors = [f.vectors for f in random_frames(SL4, 1000, seed=6)]
-    assert hashlib.sha256(repr(vectors).encode()).hexdigest()[:16] == "08658bf4fbcf68b5"
-
-
-def _count_calls(monkeypatch, name):
-    """Replace ``framematrix.<name>`` by a wrapper; return its call list."""
-    calls, wrapped = [], getattr(framematrix, name)
-    monkeypatch.setattr(framematrix, name, lambda *a: calls.append(a) or wrapped(*a))
-    return calls
-
-
-@pytest.mark.parametrize("name", ["SL(4,R)", "SO(2,3)", "Sp(4,R)", "SU(2,2)"])
-def test_random_frames_redraw_zero_vectors_in_the_decision_pass(monkeypatch, name):
-    # the oracle draws zero regular vectors in these corpora (a collision
-    # onto a 0 in dim 2, four equal coordinates in SL(4,R)); the decision
-    # pass redraws them itself, without rewinding to the per-draw code
-    s = space(name)
-    zero_draws = []
-    want = _oracle_random_frames(s, 1000, 1, zero_draws=zero_draws)
-    rewinds = _count_calls(monkeypatch, "_draw_attempt")
-    assert [f.vectors for f in random_frames(s, 1000, seed=1)] == want
-    assert zero_draws and rewinds == []
-
-
-def test_random_frames_redraw_zero_vectors_of_the_a_family_in_dim_2():
-    # SL(2,R): a collision always makes the vector zero, so two coordinates
-    # other than the collided one do not exist to be compared
-    sl2 = dataclasses.replace(SL4, name="SL(2,R)", rank=1, rootsys=build_root_system("A", 1))
-    zero_draws = []
-    want = _oracle_random_frames(sl2, 300, 2, singular_fraction=0.0, zero_draws=zero_draws)
-    assert [f.vectors for f in random_frames(sl2, 300, seed=2, singular_fraction=0.0)] == want
-    assert len(zero_draws) > 50
 
 
 class _PlantedPCG64:
-    """PCG64's raw words, with the half-word of stream index ``half``
-    (2 * word, plus 1 for a high half) set to 0."""
+    """A bit generator's raw words with chosen 32-bit halves replaced:
+    ``planted`` maps a stream index (2 * word, plus 1 for a high half) to
+    the value of that half."""
 
-    def __init__(self, seed, half):
-        self._bitgen = np.random.PCG64(seed)
-        self._half = half
+    def __init__(self, bitgen, planted):
+        self._bitgen = bitgen
+        self._planted = planted
         self._drawn = 0  # words handed out so far
 
     def random_raw(self, size):
         words = self._bitgen.random_raw(size)
-        at = self._half - 2 * self._drawn
-        if 0 <= at < 2 * size:
-            words[at // 2] &= np.uint64(0xFFFFFFFF << 32 if at % 2 == 0 else 0xFFFFFFFF)
+        for half, value in self._planted.items():
+            at = half - 2 * self._drawn
+            if 0 <= at < 2 * size:
+                shift = 32 * (at % 2)
+                word = int(words[at // 2]) & ~(0xFFFFFFFF << shift)
+                words[at // 2] = word | value << shift
         self._drawn += size
         return words
 
 
-def test_chunk_decoder_rewinds_at_a_rejected_coordinate(monkeypatch):
-    # Lemire's method rejects h = 0 at range 19 (19 * 0 mod 2**32 < 6) and
-    # draws again, which moves every later draw; the build finds the
-    # rejected half-word, keeps the attempts before it and redraws its
-    # attempt with the per-draw code
-    s = space("SO(4,6)")
-    k, dim, family = s.rank, s.coord_dim, s.rootsys.family
-    coweights = framematrix._integer_coweights(s.rootsys)
-    # the third coordinate of the first regular vector from attempt 30 on
-    # of a fresh stream, whose block indices are stream indices
-    n_singulars, _masks, runs, _collisions = framematrix._decide(_Draws(5), 40, k, dim, family, 0.5)
-    at = next(a for a in range(30, 40) if n_singulars[a] < k)
-    half = (runs[at * k + n_singulars[at]] & 0xFFFFFFFF) + 1
-
-    def planted_draws():
-        draws = _Draws(5)
-        draws._bitgen = _PlantedPCG64(5, half)
-        return draws
-
-    draws = planted_draws()
-    want = [framematrix._draw_attempt(draws, k, dim, family, coweights, 0.5) for _ in range(40)]
-    draws = _Draws(5)
-    unplanted = [framematrix._draw_attempt(draws, k, dim, family, coweights, 0.5) for _ in range(40)]
-    assert want[:at] == unplanted[:at] and want[at + 1 :] != unplanted[at + 1 :]
-
-    rewinds = _count_calls(monkeypatch, "_draw_attempt")
-    draws = planted_draws()
-    first = framematrix._draw_chunk(draws, s, 40, 0.5)
-    assert len(first) == at + 1 and len(rewinds) == 1
-    rest = framematrix._draw_chunk(draws, s, 40 - len(first), 0.5)
-    assert np.concatenate((first, rest)).tolist() == want
-    assert len(rewinds) == 1
-
-
-def test_chunk_decoder_carries_a_half_word_across_a_block_refill(monkeypatch):
-    # one word per refill: a run whose first draw is the high half of a
-    # word read before a refill, and whose second draw is read after it
-    monkeypatch.setattr(framematrix, "_WORDS", 1)
-    crossings = 0
-    refills = []
-    extend, decide = _Draws._extend, framematrix._decide
-
-    def counting_extend(self, end):
-        refills.append(len(self.block))  # the index of the first new word
-        extend(self, end)
-
-    def counting_decide(draws, *args):
-        nonlocal crossings
-        refills.clear()
-        decided = decide(draws, *args)
-        for run in decided[2]:
-            first, rest = run >> 32, run & 0xFFFFFFFF
-            crossings += first % 2 == 1 and any(first // 2 < b <= rest // 2 for b in refills)
-        return decided
-
-    monkeypatch.setattr(_Draws, "_extend", counting_extend)
-    monkeypatch.setattr(framematrix, "_decide", counting_decide)
-    for name in ("SL(5,R)", "SO(3,4)"):
-        s = space(name)
-        assert [f.vectors for f in random_frames(s, 100, seed=4)] == _oracle_random_frames(s, 100, 4)
-    assert crossings > 100
-
-
-def _half_words(seed, count):
-    """The first 32-bit draws of a fresh PCG64 stream: low half, then high."""
-    words = np.random.PCG64(seed).random_raw(count).tolist()
-    return [half for w in words for half in (w & 0xFFFFFFFF, w >> 32)]
-
-
-def test_draws_lemire_rejection_path():
-    # at range 3 * 2**30 a half-word h is rejected when h * n mod 2**32 is
-    # below 2**32 mod n = 2**30, about a quarter of the time
-    n = 3 * 2**30
-    rejected = sum(h * n % 2**32 < 2**30 for h in _half_words(7, 200))
-    assert rejected > 50
-    draws, rng = _Draws(7), np.random.default_rng(7)
-    assert [draws.integers(0, n) for _ in range(400)] == [
-        int(rng.integers(0, n)) for _ in range(400)
-    ]
-
-
-def test_draws_carry_half_word_across_random():
-    # integers takes the low half of word 0, random() takes all of word 1,
-    # and the next integers takes the carried high half of word 0
-    words = np.random.PCG64(3).random_raw(3).tolist()
-    draws = _Draws(3)
-    assert draws.integers(0, 19) == (words[0] & 0xFFFFFFFF) * 19 >> 32
-    assert draws.random() == (words[1] >> 11) * 2.0**-53
-    assert draws.integers(0, 19) == (words[0] >> 32) * 19 >> 32
-    assert draws.integers(0, 19) == (words[2] & 0xFFFFFFFF) * 19 >> 32
-    # and the same interleaving, at length, against the Generator
-    draws, rng = _Draws(4), np.random.default_rng(4)
-    for step in range(3000):
-        if step % 3 == 1:
-            assert draws.random() == rng.random()
-        elif step % 7 == 0:
-            assert draws.integer_list(-9, 10, 5) == rng.integers(-9, 10, size=5).tolist()
-        else:
-            assert draws.integers(1, 2 + step % 9) == int(rng.integers(1, 2 + step % 9))
-
-
-def test_draws_pair_matches_choice():
-    draws, rng = _Draws(5), np.random.default_rng(5)
-    for step in range(2000):
-        n = 2 + step % 8
-        assert draws.pair(n) == tuple(int(x) for x in rng.choice(n, size=2, replace=False))
-        if step % 3 == 0:  # move the half-word carry around
-            assert draws.integers(0, 19) == int(rng.integers(0, 19))
+def test_random_frames_reject_a_planted_zero_vector(monkeypatch):
+    # slot 0 of attempt 2 gets zero coordinates and no collision: the zero
+    # vector is not drawn again, and its attempt counts as rejected
+    s = space("Sp(6,R)")
+    k, dim = s.rank, s.coord_dim
+    used = 2 + k * (1 + k + dim + 4)
+    coordinates = 2 * 2 * ((used + 1) // 2) + 2 + 1 + k  # stream index of the first
+    zero = -(-9 * 2**32 // 19)  # the least half h with -9 + (h * 19 >> 32) == 0
+    planted = {coordinates + c: zero for c in range(dim)}
+    planted[coordinates + dim] = 2**32 - 1  # the collision test
+    options = dict(singular_fraction=0.0, max_attempts=1)
+    # attempts 0 to 10 of this stream all span
+    unplanted = [f.vectors for f in random_frames(s, 11, seed=3, **options)]
+    real = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: _PlantedPCG64(real(seed), planted))
+    assert [f.vectors for f in random_frames(s, 2, seed=3, **options)] == unplanted[:2]
+    with pytest.raises(RuntimeError):
+        random_frames(s, 3, seed=3, **options)
+    frames = [f.vectors for f in random_frames(s, 10, seed=3, singular_fraction=0.0)]
+    assert frames == unplanted[:2] + unplanted[3:]
+    assert frames == random_frames_by_attempt(s, 10, 3, singular_fraction=0.0)
 
 
 def test_spans_mod_p_defers_to_exact_rank():
