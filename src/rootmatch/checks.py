@@ -221,9 +221,8 @@ def stabilizer_zero_case(inputs: Inputs) -> str:
     checked = 0
     for n in (4, 5):
         model = ModelSpace(n)
-        sl = space(f"SL({n},R)")
-        full = tuple(range(sl.rank))
-        for face in enumerate_faces(sl):
+        full = tuple(range(model.rank))
+        for face in enumerate_faces(model.space):
             if not face.simple_subset or face.simple_subset == full:
                 continue
             v = face.witness
@@ -243,14 +242,15 @@ def stabilizer_zero_case(inputs: Inputs) -> str:
 
 
 def ratio_estimate(samples: int, seed: int) -> RatioEstimate:
-    """Criterion 8's estimate: direction b_14 at the SL(4,R) wall vector (1, 1, 1, -3)."""
+    """Criterion 8's sampled lower bound of the angle-ratio supremum:
+    direction b_14 at the SL(4,R) wall vector (1, 1, 1, -3)."""
     model = ModelSpace(4)
     return sample_ratio(model, (1, 1, 1, -3), model.pairs.index((0, 3)), samples, seed)
 
 
 def judge_seed_spread(estimates: Sequence[float], samples: int) -> str:
-    """Criterion 8's verdict on one estimate per seed: all finite and
-    positive, and the largest below twice the smallest."""
+    """Criterion 8's verdict on one sampled lower bound per seed: all
+    finite and positive, and the largest below twice the smallest."""
     if not all(np.isfinite(e) and e > 0 for e in estimates):
         raise CheckFailedError(f"estimates {estimates}")
     lo, hi = min(estimates), max(estimates)
@@ -260,7 +260,8 @@ def judge_seed_spread(estimates: Sequence[float], samples: int) -> str:
 
 
 def ratio_stability(inputs: Inputs) -> str:
-    """Criterion 8: the sampled angle ratio is finite, positive and within 2x across seeds."""
+    """Criterion 8: the sampled lower bound of the angle-ratio supremum is
+    finite, positive and within 2x across seeds."""
     estimates = [ratio_estimate(inputs.samples, s).max_ratio for s in inputs.seeds]
     return judge_seed_spread(estimates, inputs.samples)
 
@@ -291,7 +292,7 @@ def flat_pipeline(inputs: Inputs) -> str:
     for n in (4, 5, 6):
         model = ModelSpace(n)
         weights = set()
-        for frame in random_frames(space(f"SL({n},R)"), 30, seed=PIPELINE_SEED):
+        for frame in random_frames(model.space, 30, seed=PIPELINE_SEED):
             judge_doubled_frame(model, pipeline_flat(model, frame.vectors))
             weights.add(min(build_matrix(frame).row_weights))
             frames += 1

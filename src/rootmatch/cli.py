@@ -337,7 +337,7 @@ def cmd_verify(args) -> tuple[int, str]:
     epsilons = args.epsilon
     model = ModelSpace(args.n)
     _check_epsilons(epsilons, model)
-    space = lookup_space(f"SL({args.n},R)")
+    space = model.space
     if args.frame:
         loaded = load_frame(args.frame, space)
         if len(loaded.vectors) != space.rank or not loaded.spanning:

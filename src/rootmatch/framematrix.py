@@ -116,45 +116,36 @@ def masks_from_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int
 
 @dataclass(frozen=True)
 class SelectionMatrix:
-    """0/1 incidence of frame vectors against root multiplicity slots.
+    """0/1 incidence of frame vectors against the columns of ``space``,
+    its ``rootsys.column_labels``: one per root multiplicity slot.
 
     Row i is the int ``masks[i]``: bit j is set when the entry in column
-    j is 1.  ``build_matrix`` output is trusted as built; hand-made
-    matrices go through the validating ``from_entries``.
+    j is 1.  ``build_matrix`` output is trusted as built; hand-made rows
+    go in through the validating ``entries``.
     """
 
     space: SpaceDescriptor
-    rows: int
-    cols: int
     masks: tuple[int, ...]
-    col_labels: tuple[tuple[Root, int], ...]
     entries: InitVar[Optional[Sequence[Sequence[int]]]] = _Entries()
 
     def __post_init__(self, entries):
         if entries is not None:
             masks, width = masks_from_rows(entries)
             if len(masks) != self.rows or width != self.cols:
-                raise MalformedMatrixError("entries do not match the rows and cols fields")
+                raise MalformedMatrixError(f"entries are not {self.rows} x {self.cols}")
             object.__setattr__(self, "masks", masks)
 
-    @classmethod
-    def from_entries(
-        cls,
-        space: SpaceDescriptor,
-        entries: Sequence[Sequence[int]],
-        col_labels: Sequence[tuple[Root, int]],
-    ) -> SelectionMatrix:
-        """A hand-made matrix from rectangular 0/1 rows, one label per column."""
-        masks, width = masks_from_rows(entries)
-        if len(col_labels) != width:
-            raise MalformedMatrixError(f"{len(col_labels)} column labels for {width} columns")
-        return cls(
-            space=space,
-            rows=len(masks),
-            cols=width,
-            masks=masks,
-            col_labels=tuple(col_labels),
-        )
+    @property
+    def rows(self) -> int:
+        return len(self.masks)
+
+    @property
+    def cols(self) -> int:
+        return len(self.space.rootsys.column_labels)
+
+    @property
+    def col_labels(self) -> tuple[tuple[Root, int], ...]:
+        return self.space.rootsys.column_labels
 
     @property
     def row_weights(self) -> tuple[int, ...]:
@@ -168,16 +159,7 @@ def build_matrix(frame: FrameSpec) -> SelectionMatrix:
     (``frame.integer_vectors``), which keeps every root's zero pattern,
     and its row is that vector's ``RootSystem.row_masks`` mask.
     """
-    space = frame.space
-    labels = space.rootsys.column_labels
-    masks = space.rootsys.row_masks(frame.integer_vectors)
-    return SelectionMatrix(
-        space=space,
-        rows=len(masks),
-        cols=len(labels),
-        masks=masks,
-        col_labels=labels,
-    )
+    return SelectionMatrix(frame.space, frame.space.rootsys.row_masks(frame.integer_vectors))
 
 
 @dataclass(frozen=True)
@@ -202,6 +184,10 @@ class PropertyReport:
 
 
 def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> PropertyReport:
+    """The five properties of ``matrix``, judged for its own space, which
+    ``space`` must be: another space is an ``InvalidParamsError``."""
+    if space is not matrix.space and space != matrix.space:
+        raise InvalidParamsError(f"a {matrix.space.name} matrix cannot be judged as {space.name}")
     if space.excluded:
         raise ExcludedSpaceError(f"{space.name} is excluded from property checks")
     n = space.rank
@@ -231,8 +217,8 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
 
     ok4 = True
     equal_pairs = []
-    for i in range(matrix.rows):
-        for j in range(i + 1, matrix.rows):
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
             if masks[i] == masks[j]:
                 equal_pairs.append((i, j))
                 if weights[i] < 2 * n - 1:

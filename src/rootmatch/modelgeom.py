@@ -5,8 +5,8 @@ form <X,Y> = tr(XY).  The flat is the diagonal subspace; its orthogonal
 complement is spanned by the unit matrices b_ij = (E_ij + E_ji)/sqrt(2).
 Rotations act by conjugation.  The two frame pipelines double a frame in
 (or near) the flat into b-vectors selected by the greedy column
-matching, and the sampling utilities estimate the angle-ratio constant
-over Haar-random rotations.
+matching, and the sampling utilities bound the supremum of the angle
+ratio from below over Haar-random rotations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 from .exact import Rat, as_int
 from .framematrix import build_matrix, make_frame
 from .matcher import AlgoTrace, MatchResult, greedy_match
-from .rootdata import build_root_system, flat_row, space as catalogue_space
+from .rootdata import flat_row, space as catalogue_space
 
 
 def trace_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -38,17 +38,16 @@ def trace_inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 class ModelSpace:
-    """Bases and bookkeeping for one model size n."""
+    """Bases and bookkeeping for one model size n: the catalogue's
+    SL(n,R), n = 3..9, is ``space``; any other n is an ``UnknownSpaceError``."""
 
     def __init__(self, n: int):
-        if n < 2:
-            raise InvalidParamsError("model needs n >= 2")
-        self.n = n
-        self.rank = n - 1
-        # column c of an SL(n,R) selection matrix is pairs[c] and fperp_basis()[c]
-        self.rootsys = build_root_system("A", n - 1)
+        self.n = as_int(n, "model size")
+        self.space = catalogue_space(f"SL({self.n},R)")
+        self.rank = self.space.rank
+        # column c of the space's selection matrices is pairs[c] and fperp_basis()[c]
         self.pairs: tuple[tuple[int, int], ...] = tuple(
-            root.support for root in self.rootsys.positives
+            root.support for root, _slot in self.space.rootsys.column_labels
         )
 
     @property
@@ -103,7 +102,7 @@ def _haar_batch(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
 def _row_mask(model: ModelSpace, v: Sequence[Rat]) -> int:
     """The columns (bit c for ``model.pairs[c]``) of the roots e_i - e_j
     not vanishing on a vector that passes ``flat_row`` for the model."""
-    return model.rootsys.row_masks([flat_row(v, model.n, traceless=True)])[0]
+    return model.space.rootsys.row_masks([flat_row(v, model.n, traceless=True)])[0]
 
 
 def q_subspace(model: ModelSpace, v: Sequence[Rat]) -> list[np.ndarray]:
@@ -143,6 +142,10 @@ def stabilizer_rotation(
 
 @dataclass(frozen=True)
 class RatioEstimate:
+    """A sampled lower bound of one pair's angle-ratio supremum: the
+    largest ratio over ``samples`` Haar draws of ``seed``, less the
+    ``zero_denominator_count`` draws it excludes."""
+
     max_ratio: float
     zero_denominator_count: int
     samples: int
@@ -174,8 +177,10 @@ def sample_ratios(
     samples: int,
     seed: int,
 ) -> list[RatioEstimate]:
-    """Sampled bounds for angle(h.b_c, Fperp) <= C * angle(h.v, F), one
-    per (v, c) pair, every pair scored on the same Haar rotations.
+    """Sampled lower bounds of the supremum over rotations h of
+    angle(h.b_c, Fperp) / angle(h.v, F), the least C of the angle
+    inequality, one per (v, c) pair, every pair scored on the same Haar
+    rotations.
 
     Each ``v`` is an exact flat vector and ``c`` a column of the SL(n)
     selection matrix (b_c is ``fperp_basis()[c]``) set in v's row mask,
@@ -339,17 +344,13 @@ def _doubled(
     return DoubledFrame(model, tuple(rotations), float(worst), match, trace, snapped_frame)
 
 
-def _sl_space(n: int):
-    return catalogue_space(f"SL({n},R)")
-
-
 def _matched(
     model: ModelSpace, frame: Sequence[Sequence[Rat]]
 ) -> tuple[MatchResult, AlgoTrace, tuple[tuple[Fraction, ...], ...]]:
     """The greedy matching of an exact spanning frame of the flat, its
     trace, and the frame as Fractions: the one step both pipelines
     double."""
-    frame_spec = make_frame(_sl_space(model.n), frame)
+    frame_spec = make_frame(model.space, frame)
     vectors = frame_spec.vectors
     if len(vectors) != model.rank or not frame_spec.spanning:
         raise InvalidParamsError("flat pipeline needs a spanning frame of rank vectors")

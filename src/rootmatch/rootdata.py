@@ -217,14 +217,17 @@ def flat_row(v: Sequence[Rat], dim: int, traceless: bool) -> Sequence[int]:
     In order: the length is ``dim``; the entries are read by
     ``exact.integer_row`` (ints as they are, anything else through
     ``Fraction(x)``; an entry that is no rational number, such as nan,
-    inf, None or ``"1/0"``, raises ``NotInFlatError``); the vector is
+    inf, None, ``"1/0"`` or a bool, raises ``NotInFlatError``); the vector is
     nonzero; and, when ``traceless`` (A family), its coordinates sum to
     zero.  A vector of ints is returned as it is, any other as a tuple.
     """
     if len(v) != dim:
         raise DimensionMismatchError(f"vector length {len(v)} != coordinate dimension {dim}")
+    types = set(map(type, v))
+    if bool in types:
+        raise NotInFlatError("entry is a bool, not a rational number")
     try:
-        row = v if set(map(type, v)) <= {int} else tuple(integer_row(v))
+        row = v if types <= {int} else tuple(integer_row(v))
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise NotInFlatError(f"entry is not a rational number: {exc}") from exc
     if not any(row):

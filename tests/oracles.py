@@ -22,6 +22,36 @@ def evaluate_root(root, v):
     return sum(c * x for c, x in zip(root.coords, v) if c)
 
 
+def helmert_rows(n):
+    """Rows 1..n-1 of the n x n Helmert matrix from its definition: row k
+    is k ones, then -k, then zeros, each entry divided by sqrt(k(k+1)):
+    the oracle of ``ModelSpace.flat_basis``."""
+    rows = np.zeros((n - 1, n))
+    for k in range(1, n):
+        rows[k - 1, :k] = 1 / math.sqrt(k * (k + 1))
+        rows[k - 1, k] = -k / math.sqrt(k * (k + 1))
+    return rows
+
+
+def expm_by_taylor(a):
+    """exp of a square matrix by scaling and squaring (Higham 2005): a
+    scaled by 2**-s to a max-row-sum norm of at most 1/2, its Taylor
+    series summed until a term adds nothing, then squared s times: the
+    oracle of ``modelgeom._exp_skew``."""
+    norm = float(np.abs(a).sum(axis=1).max())
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm else 0
+    scaled = a / 2.0**s
+    term = result = np.eye(len(a))
+    for k in range(1, 40):
+        term = term @ scaled / k
+        if not np.any(result + term != result):
+            break
+        result = result + term
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
 def angle_to_subspace(v, basis):
     """Angle arccos(|proj| / |v|) between a vector and a subspace, for the
     trace form: the oracle of ``modelgeom.ratio_angles``.

@@ -112,19 +112,25 @@ def test_masks_and_entries_agree():
     assert m.entries == tuple(
         tuple(mask >> j & 1 for j in range(m.cols)) for mask in m.masks
     )
-    assert SelectionMatrix.from_entries(SL4, m.entries, m.col_labels) == m
+    assert dataclasses.replace(m, entries=m.entries) == m
+    # the columns are the space's own
+    assert m.col_labels is SL4.rootsys.column_labels
+    assert [f.name for f in dataclasses.fields(SelectionMatrix)] == ["space", "masks"]
 
 
-def test_from_entries_validates():
-    labels = SL4.rootsys.column_labels
-    with pytest.raises(MalformedMatrixError):
-        SelectionMatrix.from_entries(SL4, [], labels[:0])
-    with pytest.raises(MalformedMatrixError):
-        SelectionMatrix.from_entries(SL4, [[1, 0], [1]], labels[:2])
-    with pytest.raises(MalformedMatrixError):
-        SelectionMatrix.from_entries(SL4, [[1, 2]], labels[:2])
-    with pytest.raises(MalformedMatrixError):
-        SelectionMatrix.from_entries(SL4, [[1, 0, 1]], labels[:2])
+def test_replaced_entries_are_validated():
+    m = _sl4_matrix([(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    for rows in (
+        [],
+        [[1, 0, 1, 0, 1, 1], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1]],  # ragged
+        [[0, 0, 2, 0, 1, 1], [1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 1]],  # not 0/1
+        [[0, 0, 1, 0, 1], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0]],  # 5 of 6 columns
+        [[0, 0, 1, 0, 1, 1, 0], [1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 1, 0, 1, 0]],  # 7 columns
+        [[0, 0, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0]],  # 2 of 3 rows
+        [[0, 0, 1, 0, 1, 1]] * 4,  # 4 rows
+    ):
+        with pytest.raises(MalformedMatrixError):
+            dataclasses.replace(m, entries=rows)
 
 
 def test_replace_entries_rebuilds_masks():
@@ -451,12 +457,19 @@ def test_properties_all_ones():
 
 
 def test_property_one_fails_on_zero_column():
-    broken = SelectionMatrix.from_entries(
-        SL4, ((1, 1, 0), (1, 1, 0)), SL4.rootsys.column_labels[:3]
-    )
+    m = _sl4_matrix([(1, 2, 3, -6), (1, -1, 2, -2), (5, 1, -2, -4)])
+    broken = dataclasses.replace(m, entries=[(1, 1, 0, 1, 1, 1)] * 3)
     report = verify_properties(broken, SL4)
     assert not report.verdicts[0]
-    assert any("property 1" in w for w in report.witnesses)
+    assert "property 1: all-zero columns [2]" in report.witnesses
+
+
+def test_properties_refuse_another_space():
+    m = _sl4_matrix([(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    with pytest.raises(InvalidParamsError):
+        verify_properties(m, space("Sp(6,R)"))
+    # an equal space that is another object is the same space
+    assert verify_properties(m, dataclasses.replace(SL4)).passed
 
 
 def test_properties_reject_excluded_space():
@@ -745,6 +758,7 @@ MAKE_FRAME_CASES = {
 CHANGED_OUTCOMES = {
     ("SL(4,R)", 8): NotInFlatError,  # was ValueError from Fraction(nan)
     ("SL(4,R)", 9): NotInFlatError,  # was OverflowError from Fraction(inf)
+    ("SL(4,R)", 11): NotInFlatError,  # was accepted, the bools read as 1 and 0
     ("SL(4,R)", 12): ZeroVectorError,  # was accepted, a frame with a zero row
     ("Sp(4,R)", 1): NotInFlatError,  # was ZeroVectorError from the later vector
     ("Sp(4,R)", 2): NotInFlatError,  # was ValueError from Fraction(nan)

@@ -240,6 +240,7 @@ FLAT_VECTORS = [
     (("abc", 1, 0, -1), NotInFlatError),
     ((None, 1, 0, -1), NotInFlatError),
     (("1/0", 1, 0, -1), NotInFlatError),
+    ((True, 1, 1, -3), NotInFlatError),
 ]
 
 
@@ -260,7 +261,7 @@ def _first_of_a_frame(v):
 @pytest.mark.parametrize(
     "v, error",
     FLAT_VECTORS,
-    ids=["zero", "off_flat", "strings", "short", "nan", "inf", "abc", "none", "one_over_zero"],
+    ids=["zero", "off_flat", "strings", "short", "nan", "inf", "abc", "none", "one_over_zero", "bool"],
 )
 def test_every_layer_checks_a_flat_vector_the_same_way(entry, v, error):
     if error is None:
