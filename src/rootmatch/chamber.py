@@ -27,38 +27,55 @@ from .rootdata import (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def simple_system(rootsys: RootSystem) -> tuple[Root, ...]:
-    """The simple roots: positives that are not a sum of two positives."""
-    coord_set = {r.coords for r in rootsys.positives}
-    simples = []
-    for root in rootsys.positives:
-        decomposable = False
-        for other in rootsys.positives:
-            rest = tuple(a - b for a, b in zip(root.coords, other.coords))
-            if any(rest) and rest in coord_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simples.append(root)
-    if len(simples) != rootsys.rank:
+    """The simple roots: positives that are not a sum of two positives.
+
+    Which positives they are depends only on the roots' coordinates, not
+    on their multiplicities, so spaces that share the coordinates share
+    one derivation (``_simple_positions``); each gets its own ``Root``
+    objects back.
+    """
+    positives = rootsys.positives
+    positions = _simple_positions(tuple(r.coords for r in positives))
+    if len(positions) != rootsys.rank:
         raise RuntimeError("simple system size must equal the rank")
-    return tuple(simples)
+    return tuple(positives[p] for p in positions)
 
 
 @functools.lru_cache(maxsize=None)
+def _simple_positions(coords: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The positions in ``coords`` of the roots that are not a sum of two."""
+    coord_set = set(coords)
+    positions = []
+    for p, root in enumerate(coords):
+        for other in coords:
+            rest = tuple(a - b for a, b in zip(root, other))
+            if any(rest) and rest in coord_set:
+                break  # decomposable
+        else:
+            positions.append(p)
+    return tuple(positions)
+
+
 def fundamental_coweights(rootsys: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
     """Exact dual basis to the simple roots inside the flat.
 
     For the A family the flat is the trace-zero hyperplane, so the
     defining system carries the extra trace equation.  One elimination
-    solves for every coweight.
+    solves for every coweight, once per set of simple roots' coordinates
+    (``_coweights``), which multiplicities do not change.
     """
-    simples = simple_system(rootsys)
-    dim = rootsys.coord_dim
-    rows = [list(s.coords) for s in simples]
-    if rootsys.family == "A":
-        rows.append([1] * dim)
+    simples = tuple(s.coords for s in simple_system(rootsys))
+    return _coweights(simples, rootsys.family == "A")
+
+
+@functools.lru_cache(maxsize=None)
+def _coweights(
+    simples: tuple[tuple[int, ...], ...], traceless: bool
+) -> tuple[tuple[Fraction, ...], ...]:
+    rows = [list(s) for s in simples]
+    if traceless:
+        rows.append([1] * len(simples[0]))
     rhss = [[int(i == j) for j in range(len(rows))] for i in range(len(simples))]
     return solve_unique_many(rows, rhss)
 

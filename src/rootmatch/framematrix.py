@@ -29,7 +29,7 @@ from .errors import (
     MalformedMatrixError,
     RootmatchError,
 )
-from .exact import Rat, as_int, integer_rank, integer_row
+from .exact import Rat, as_int, integer_rank
 from .rootdata import KTYPE_SO, Root, RootSystem, SpaceDescriptor, flat_row
 
 Vector = tuple[Rat, ...]
@@ -43,7 +43,9 @@ class FrameSpec:
     same ray (``exact.integer_row``), the one form the checks and
     ``build_matrix`` read.  ``make_frame`` and ``random_frames`` fill it
     as they build the frame; a frame made any other way, such as by
-    ``dataclasses.replace``, computes it on first read.
+    ``dataclasses.replace``, computes it on first read through
+    ``rootdata.flat_row``, whose checks of each vector raise as they do
+    in ``make_frame``.
     """
 
     vectors: tuple[Vector, ...]
@@ -52,7 +54,8 @@ class FrameSpec:
 
     @functools.cached_property
     def integer_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(integer_row(v)) for v in self.vectors)
+        dim, traceless = self.space.coord_dim, self.space.rootsys.family == "A"
+        return tuple(tuple(flat_row(v, dim, traceless)) for v in self.vectors)
 
 
 def make_frame(space: SpaceDescriptor, vectors: Iterable[Sequence[Rat]]) -> FrameSpec:
@@ -120,8 +123,9 @@ class SelectionMatrix:
     its ``rootsys.column_labels``: one per root multiplicity slot.
 
     Row i is the int ``masks[i]``: bit j is set when the entry in column
-    j is 1.  ``build_matrix`` output is trusted as built; hand-made rows
-    go in through the validating ``entries``.
+    j is 1.  ``masks`` is a tuple of at least one row, and each mask is an
+    int (not a bool) in [0, 2**cols); hand-made rows can go in through
+    ``entries``, which checks that they are 0/1 and of the matrix's shape.
     """
 
     space: SpaceDescriptor
@@ -134,6 +138,18 @@ class SelectionMatrix:
             if len(masks) != self.rows or width != self.cols:
                 raise MalformedMatrixError(f"entries are not {self.rows} x {self.cols}")
             object.__setattr__(self, "masks", masks)
+            return
+        masks = self.masks
+        if type(masks) is not tuple:
+            raise MalformedMatrixError(f"row masks must be a tuple, got {type(masks).__name__}")
+        if not masks:
+            raise MalformedMatrixError("matrix has no rows")
+        full = (1 << self.cols) - 1
+        for mask in masks:
+            if type(mask) is not int or mask & full != mask:
+                raise MalformedMatrixError(
+                    f"row masks must be ints in [0, 2**{self.cols}), got {masks!r}"
+                )
 
     @property
     def rows(self) -> int:
@@ -192,23 +208,32 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
         raise ExcludedSpaceError(f"{space.name} is excluded from property checks")
     n = space.rank
     masks = matrix.masks
-    weights = [mask.bit_count() for mask in masks]
+    cols = matrix.cols
     witnesses: list[str] = []
 
     union = 0
+    least = cols  # the least row weight
     for mask in masks:
         union |= mask
-    ok1 = union == (1 << matrix.cols) - 1
+        weight = mask.bit_count()
+        if weight < least:
+            least = weight
+    ok1 = union == (1 << cols) - 1
     if not ok1:
-        empty_cols = [j for j in range(matrix.cols) if not union >> j & 1]
+        empty_cols = [j for j in range(cols) if not union >> j & 1]
         witnesses.append(f"property 1: all-zero columns {empty_cols}")
 
-    light = [i for i, w in enumerate(weights) if w < n]
-    ok2 = not light
+    # the row lists of properties 2, 3 and 5, built only when a row is light
+    weights = low = ()
+    if least < n or least < 2 * n - 2:
+        weights = [mask.bit_count() for mask in masks]
+        low = [i for i, w in enumerate(weights) if w < 2 * n - 2]
+
+    ok2 = least >= n
     if not ok2:
+        light = [i for i, w in enumerate(weights) if w < n]
         witnesses.append(f"property 2: rows {light} have weight below {n}")
 
-    low = [i for i, w in enumerate(weights) if w < 2 * n - 2]
     ok3 = True
     if space.ktype != KTYPE_SO:
         ok3 = not low
@@ -217,15 +242,15 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
 
     ok4 = True
     equal_pairs = []
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] == masks[j]:
-                equal_pairs.append((i, j))
-                if weights[i] < 2 * n - 1:
-                    ok4 = False
-                    witnesses.append(
-                        f"property 4: equal rows {(i, j)} have weight {weights[i]}"
-                    )
+    if len(set(masks)) < len(masks):
+        for i in range(len(masks)):
+            for j in range(i + 1, len(masks)):
+                if masks[i] == masks[j]:
+                    equal_pairs.append((i, j))
+                    weight = masks[i].bit_count()
+                    if weight < 2 * n - 1:
+                        ok4 = False
+                        witnesses.append(f"property 4: equal rows {(i, j)} have weight {weight}")
 
     ok5 = True
     for a, i in enumerate(low):

@@ -12,6 +12,15 @@ is an exact, hypothesis-free b-matching in which each row holds two
 columns, used to cross-check existence; ``deficient_rows`` runs the same
 search and, when no matching exists, names rows S whose 1-entries lie in
 fewer than 2|S| columns.
+
+Each route takes its common path first.  The greedy pass fills its
+pairs by row in one plain leftmost loop, and runs Hall's guard only when
+that loop strands a row.  In the b-matching a row with two free columns
+takes its two lowest at once; ``oracle_match`` reads its pairs off that
+path, and only a row with fewer starts the one search, ``_two_per_row``,
+which sets up the owners of the held columns and searches breadth first
+for an augmenting path.  A ``SelectionMatrix`` has checked its masks
+when it is made, and raw 0/1 rows are checked by ``masks_from_rows``.
 """
 
 from __future__ import annotations
@@ -110,10 +119,10 @@ class AlgoTrace:
         return tuple(records)
 
 
-def _staged(rows: Sequence[int], m: int, guarded: bool):
-    """One staged pass; returns ``(picks, deferrals)``, the picks one
-    ``(top, pair)`` per stage, and fewer than ``len(rows)`` of them when
-    a top row has fewer than two live entries."""
+def _staged(rows: Sequence[int], m: int):
+    """The staged pass with Hall's guard; returns ``(picks, deferrals)``,
+    the picks one ``(top, pair)`` per stage.  Each top row takes its
+    leftmost live pair after which the pending rows still match."""
     surviving = (1 << m) - 1  # columns no row holds yet
     picks: list[tuple[int, tuple[int, int]]] = []
     deferrals: list[DeferralRecord] = []
@@ -128,25 +137,18 @@ def _staged(rows: Sequence[int], m: int, guarded: bool):
                     top, least = i, count
             pool.remove(top)
             live = rows[top] & surviving
-            if not guarded:
-                low = live & -live
-                live ^= low
-                if not live:
-                    return picks, deferrals
-                chosen = (low.bit_length() - 1, (live & -live).bit_length() - 1)
+            # one pair passes while the pending rows and the top row
+            # have a matching
+            others = pools[0] + pools[1]
+            for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
+                rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
+                held, reached = _two_per_row([rows[i] & rest for i in others], m)
+                if held is not None:
+                    break
+                blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
+                deferrals.append(DeferralRecord(len(picks) + 1, top, chosen, blocking))
             else:
-                # the leftmost pair after which the pending rows still match;
-                # one passes while they and the top row have a matching
-                others = pools[0] + pools[1]
-                for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
-                    rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
-                    held, reached = _two_per_row([rows[i] & rest for i in others], m)
-                    if held is not None:
-                        break
-                    blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
-                    deferrals.append(DeferralRecord(len(picks) + 1, top, chosen, blocking))
-                else:
-                    raise AssertionError("Hall's guard rejected every pair")
+                raise AssertionError("Hall's guard rejected every pair")
             picks.append((top, chosen))
             surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
     return picks, deferrals
@@ -161,29 +163,58 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     the original row index), and the top row takes the lexicographically
     first live pair after which the pending rows, on the columns left,
     still have a two-per-row matching; each pair skipped is a
-    ``DeferralRecord`` in ``trace.repairs``.  The guard is checked only
-    when the plain leftmost pass strands a row: a completed plain pass
-    is a matching of every residual, so the guard would have passed
-    each of its pairs.  The trace keeps one ``(top row, pair)`` per
-    stage; its ``stages`` records are derived from them on first read.
-    Raises ``NoMatchingError`` exactly when the matrix has no two-per-row
-    matching; its ``trace`` is the stranded plain pass.
+    ``DeferralRecord`` in ``trace.repairs``.  A plain pass, in which each
+    top row takes its leftmost live pair, runs first and fills the pairs
+    by row; the guard runs only when that pass strands a row, because a
+    completed plain pass is a matching of every residual, so the guard
+    would have passed each of its pairs.  The trace keeps one
+    ``(top row, pair)`` per stage; its ``stages`` records are derived
+    from them on first read.  Raises ``NoMatchingError`` exactly when
+    the matrix has no two-per-row matching; its ``trace`` is the
+    stranded plain pass.
     """
     rows, m = _rows_of(matrix)
-    picks, deferrals = _staged(rows, m, guarded=False)
-    if len(picks) < len(rows):
-        held, reached = _two_per_row(rows, m)
-        if held is None:
-            blocking = [i for i in range(len(rows)) if reached >> i & 1]
-            raise NoMatchingError(
-                f"greedy selection failed at stage {len(picks) + 1}: no matching"
-                f" exists, rows {blocking} hold fewer than {2 * len(blocking)} columns",
-                trace=AlgoTrace(rows, m, tuple(picks), ()),
-            )
-        picks, deferrals = _staged(rows, m, guarded=True)
+    n = len(rows)
+    surviving = (1 << m) - 1
+    pairs = [None] * n  # by row
+    picks = []
+    for pool in _phases(rows):
+        while pool:
+            # the lightest row, the lowest index among equals
+            least = m + 1
+            for i in pool:
+                count = (rows[i] & surviving).bit_count()
+                if count < least:
+                    top, least = i, count
+            pool.remove(top)
+            live = rows[top] & surviving
+            low = live & -live
+            live ^= low
+            if not live:
+                return _stranded(rows, m, picks)
+            high = live & -live
+            surviving ^= low | high
+            pairs[top] = pair = (low.bit_length() - 1, high.bit_length() - 1)
+            picks.append((top, pair))
+    return MatchResult(tuple(pairs)), AlgoTrace(rows, m, tuple(picks), ())
+
+
+def _stranded(rows: Sequence[int], m: int, picks: list) -> tuple[MatchResult, AlgoTrace]:
+    """``greedy_match`` once its plain pass has stranded a row after
+    ``picks``: the guarded pass when a matching exists, else a
+    ``NoMatchingError`` that carries the plain pass."""
+    held, reached = _two_per_row(rows, m)
+    if held is None:
+        blocking = [i for i in range(len(rows)) if reached >> i & 1]
+        raise NoMatchingError(
+            f"greedy selection failed at stage {len(picks) + 1}: no matching"
+            f" exists, rows {blocking} hold fewer than {2 * len(blocking)} columns",
+            trace=AlgoTrace(rows, m, tuple(picks), ()),
+        )
+    picks, deferrals = _staged(rows, m)
     pairs = dict(picks)
     return (
-        MatchResult(pairs=tuple(pairs[i] for i in range(len(rows)))),
+        MatchResult(tuple(pairs[i] for i in range(len(rows)))),
         AlgoTrace(rows, m, tuple(picks), tuple(deferrals)),
     )
 
@@ -194,16 +225,30 @@ def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:
     Returns ``(held, 0)``, ``held[i]`` being the mask of the two columns
     row i holds, or ``(None, reached)`` with ``reached`` the mask of the
     rows a failed search reached.  Each unit of a row's capacity takes
-    the row's lowest free column; when none is free, a breadth-first
-    search over owners looks for a path to a free column (Hopcroft and
-    Karp 1973).  When that search fails, every column of a reached row
-    is held by a reached row, and those rows hold fewer than 2|S|
-    columns, so the reached set S has |N(S)| < 2|S| (Konig 1931).
+    the row's lowest free column, so a row with two free columns takes
+    its two lowest at once.  Only a row with fewer sets up the owner of
+    each held column and, per unit with no free column, a breadth-first
+    search over owners for a path to a free column (Hopcroft and Karp
+    1973).  When that search fails, every column of a reached row is
+    held by a reached row, and those rows hold fewer than 2|S| columns,
+    so the reached set S has |N(S)| < 2|S| (Konig 1931).
     """
     free = (1 << m) - 1
-    owner = [0] * m
     held = [0] * len(rows)
     for i, row in enumerate(rows):
+        avail = row & free
+        rest = avail & (avail - 1)  # avail less its lowest column
+        if rest:
+            pair = avail ^ rest | rest & -rest
+            held[i] = pair
+            free ^= pair
+            continue
+        # the row that holds each held column; rows that took their two
+        # columns at once recorded none
+        owner = [0] * m
+        for r in range(i):
+            h = held[r]
+            owner[(h & -h).bit_length() - 1] = owner[h.bit_length() - 1] = r
         for _unit in (0, 1):
             r, avail = i, row & free
             if not avail:
@@ -242,13 +287,30 @@ def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:
 
 
 def oracle_match(matrix: MatrixLike) -> MatchResult | None:
-    """Exact existence check: a two-per-row matching, or None."""
+    """Exact existence check: a two-per-row matching, or None.
+
+    While each row in turn has two free columns it takes its two lowest,
+    as ``_two_per_row`` would; at the first row with fewer, ``_two_per_row``
+    runs over all the rows."""
     rows, m = _rows_of(matrix)
+    free = (1 << m) - 1
+    pairs = []
+    for row in rows:
+        avail = row & free
+        low = avail & -avail
+        avail ^= low
+        high = avail & -avail
+        if not high:
+            break
+        free ^= low | high
+        pairs.append((low.bit_length() - 1, high.bit_length() - 1))
+    else:
+        return MatchResult(tuple(pairs))
     held, _reached = _two_per_row(rows, m)
     if held is None:
         return None
     # each mask holds two bits: the lowest and the highest
-    return MatchResult(pairs=tuple(((h & -h).bit_length() - 1, h.bit_length() - 1) for h in held))
+    return MatchResult(tuple([((h & -h).bit_length() - 1, h.bit_length() - 1) for h in held]))
 
 
 def deficient_rows(matrix: MatrixLike) -> tuple[int, ...] | None:

@@ -113,34 +113,51 @@ class RootSystem:
 
         Every root vanishes exactly on one coordinate equality (v_i = v_j,
         v_i = -v_j or v_i = 0), so a mask is the full mask less the
-        ``zero_masks`` of the equalities the row meets, found by grouping
-        its coordinates by value.  Each bit stands for one multiplicity
-        slot, so a mask's ``bit_count()`` is the total multiplicity of the
-        roots that do not vanish.
+        ``zero_masks`` of the equalities the row meets.  The A family has
+        only roots of the first form, found by grouping the coordinates
+        by value; the others group them by absolute value, and a zero
+        coordinate also meets its axis roots.  Each bit stands for one
+        multiplicity slot, so a mask's ``bit_count()`` is the total
+        multiplicity of the roots that do not vanish.
         """
         minus, plus, axis = self.zero_masks
         full = (1 << len(self.column_labels)) - 1
         masks = []
+        if self.family == "A":
+            for row in rows:
+                at: dict[int, list[int]] = {}  # coordinate value -> indices so far
+                vanishing = 0
+                for i, x in enumerate(row):
+                    equal = at.get(x)
+                    if equal is None:
+                        at[x] = [i]
+                    else:
+                        minus_i = minus[i]
+                        for j in equal:
+                            vanishing |= minus_i[j]
+                        equal.append(i)
+                masks.append(full ^ vanishing)
+            return tuple(masks)
         for row in rows:
-            at: dict[int, list[int]] = {}  # coordinate value -> indices so far
+            at = {}  # absolute value -> indices so far
             vanishing = 0
             for i, x in enumerate(row):
                 if not x:
                     vanishing |= axis[i]
-                opposite = at.get(-x)  # for x == 0, the earlier zeros
-                if opposite:
-                    plus_i = plus[i]
-                    for j in opposite:
-                        vanishing |= plus_i[j]
-                equal = at.get(x)
-                if equal is None:
-                    at[x] = [i]
-                else:
-                    minus_i = minus[i]
-                    for j in equal:
+                size = -x if x < 0 else x
+                group = at.get(size)
+                if group is None:
+                    at[size] = [i]
+                    continue
+                minus_i, plus_i = minus[i], plus[i]
+                for j in group:
+                    # v_j is x or -x, and both when x is 0
+                    if row[j] == x:
                         vanishing |= minus_i[j]
-                    equal.append(i)
-            masks.append(full & ~vanishing)
+                    if row[j] == -x:
+                        vanishing |= plus_i[j]
+                group.append(i)
+            masks.append(full ^ vanishing)
         return tuple(masks)
 
 

@@ -66,6 +66,22 @@ def test_coweights_are_dual_to_simples():
                 assert sum(w) == 0
 
 
+def test_derivations_are_shared_across_multiplicities():
+    # SO(3,4) and SO(3,5) are B3 with short multiplicities 1 and 2, and
+    # SU(4,3) has the same roots with other multiplicities plus 2e_i
+    a, b, c = (space(name).rootsys for name in ("SO(3,4)", "SO(3,5)", "SU(4,3)"))
+    assert a != b and [r.coords for r in a.positives] == [r.coords for r in b.positives]
+    for rs in (a, b, c):
+        simples = simple_system(rs)
+        # each space gets its own roots, with its own multiplicities
+        assert all(any(r is p for p in rs.positives) for r in simples)
+        assert [r.coords for r in simples] == [(1, -1, 0), (0, 1, -1), (0, 0, 1)]
+    assert [r.multiplicity for r in simple_system(a)] == [1, 1, 1]
+    assert [r.multiplicity for r in simple_system(b)] == [1, 1, 2]
+    # one elimination per set of simple roots
+    assert fundamental_coweights(a) is fundamental_coweights(b) is fundamental_coweights(c)
+
+
 def test_sl4_regular_face():
     face = _face(space("SL(4,R)"), ())
     assert face.vanishing == ()

@@ -133,6 +133,26 @@ def test_replaced_entries_are_validated():
             dataclasses.replace(m, entries=rows)
 
 
+def test_masks_are_validated():
+    # a tuple of at least one row, each mask an int (not a bool) in [0, 2**cols)
+    for masks in (
+        (),
+        [7, 56, 63],  # a list would make the frozen matrix unhashable
+        5,
+        (0b1111111, 0b1111111, 0b111111),  # bits at and past column 6
+        (64,),
+        (-1, 3, 5),
+        (True, 3, 5),
+        (3.0, 5),
+        (Fraction(3), 5),
+        (np.int64(3), 5),
+        ("3", 5),
+    ):
+        with pytest.raises(MalformedMatrixError):
+            SelectionMatrix(SL4, masks)
+    assert SelectionMatrix(SL4, (0, 63)).entries == ((0,) * 6, (1,) * 6)
+
+
 def test_replace_entries_rebuilds_masks():
     m = _sl4_matrix([(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
     rows = [list(r) for r in m.entries]
@@ -800,6 +820,21 @@ def test_integer_vectors_are_the_integer_rows_of_every_frame():
             assert replaced.integer_vectors == tuple(map(tuple, integer_rows(replaced.vectors)))
         assert dataclasses.replace(frame) == frame
         assert "integer_vectors" not in repr(frame)
+
+
+def test_replaced_frame_vectors_are_checked():
+    # a frame made by replace reads its vectors through rootdata.flat_row
+    # before any mask is built
+    frame = make_frame(SL4, [(1, 1, 1, -3), (-3, 1, 1, 1), (1, -1, 1, -1)])
+    for vector, error in (
+        ((True, True, True, -3), NotInFlatError),
+        ((1, 1, 1), DimensionMismatchError),
+        ((0, 0, 0, 0), ZeroVectorError),
+        ((1, 1, 1, 1), NotInFlatError),
+    ):
+        replaced = dataclasses.replace(frame, vectors=(vector,) + frame.vectors[1:])
+        with pytest.raises(error):
+            build_matrix(replaced)
 
 
 def test_load_frame(tmp_path):

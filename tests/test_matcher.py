@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from rootmatch.errors import MalformedMatrixError, NoMatchingError
 from rootmatch.exact import exact_rank
-from rootmatch.framematrix import build_matrix, make_frame, masks_from_rows
+from rootmatch.framematrix import (
+    build_matrix,
+    make_frame,
+    masks_from_rows,
+    random_frames,
+    verify_properties,
+)
 from rootmatch.matcher import (
     DeferralRecord,
     StageRecord,
@@ -18,7 +24,9 @@ from rootmatch.matcher import (
     oracle_match,
     validate,
 )
-from rootmatch.rootdata import space
+from rootmatch.rootdata import catalogue, space
+
+from oracles import two_per_row_by_units
 
 SL4 = space("SL(4,R)")
 ALL_ONES = [[1] * 6 for _ in range(3)]
@@ -72,6 +80,15 @@ def test_pigeonhole_no_matching():
         greedy_match(PIGEONHOLE)
     assert err.value.trace is not None
     assert oracle_match(PIGEONHOLE) is None
+    # the message and the stranded plain pass, also after a phase-1 row
+    for rows in (PIGEONHOLE, [[1, 1, 1, 0, 0], [0, 1, 1, 0, 0], [1, 0, 1, 0, 0]]):
+        with pytest.raises(NoMatchingError) as err:
+            greedy_match(rows)
+        assert str(err.value) == (
+            "greedy selection failed at stage 2: no matching exists,"
+            " rows [0, 1] hold fewer than 4 columns"
+        )
+        assert err.value.trace.picks == ((0, (0, 1)),)
 
 
 def test_oracle_all_ones():
@@ -281,6 +298,37 @@ def test_soundness_on_random_matrices():
     assert (failed_stages, deferring) == (78, 8)
 
 
+def test_two_per_row_matches_the_per_unit_search():
+    # a row with fewer than two free columns rebuilds the owner table from
+    # the rows before it, also those that took their two lowest at once
+    assert _two_per_row([58, 12, 159, 197], 9) == ([48, 12, 130, 65], 0)
+    assert two_per_row_by_units([58, 12, 159, 197], 9) == ([48, 12, 130, 65], 0)
+    rng = np.random.default_rng(30)
+    starved = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 8))
+        m = int(rng.integers(2, 2 * n + 4))
+        density = rng.uniform(0.2, 0.9)
+        rows = [int(sum(1 << j for j in range(m) if rng.random() < density)) for _ in range(n)]
+        got = _two_per_row(rows, m)
+        assert got == two_per_row_by_units(rows, m), (rows, m)
+        starved += got[0] is not None and _starves(rows, m)
+    assert starved >= 100
+
+
+def _starves(rows, m):
+    """Whether a row finds fewer than two free columns once each row
+    before it has taken its two lowest."""
+    free = (1 << m) - 1
+    for row in rows:
+        avail = row & free
+        rest = avail & (avail - 1)
+        if not rest:
+            return True
+        free ^= avail ^ rest | rest & -rest
+    return False
+
+
 def test_oracle_against_brute_force():
     rng = np.random.default_rng(42)
     for _ in range(300):
@@ -360,6 +408,53 @@ def test_greedy_decisions_pinned_on_sl4_wall_patterns():
     assert digest.hexdigest()[:16] == "23a1568556c807cd"
     assert clean_runs == 1903
     assert clean.hexdigest()[:16] == "7b4a4c99c9a51ea8"
+
+
+def _certify_digests(frames):
+    """sha256 prefixes of the four certify outputs over ``frames``:
+    the masks, the ``PropertyReport`` fields, the greedy pairs, picks and
+    repairs (the message, picks and repairs of a failure), and the oracle
+    pairs."""
+    digests = {key: hashlib.sha256() for key in ("masks", "report", "greedy", "oracle")}
+    for frame in frames:
+        m = build_matrix(frame)
+        report = verify_properties(m, frame.space)
+        try:
+            result, trace = greedy_match(m)
+            greedy = (result.pairs, trace.picks, trace.repairs)
+        except NoMatchingError as exc:
+            greedy = (str(exc), exc.trace.picks, exc.trace.repairs)
+        oracle = oracle_match(m)
+        digests["masks"].update(repr(m.masks).encode())
+        digests["report"].update(
+            repr((report.space, report.verdicts, report.witnesses, report.equal_row_pairs)).encode()
+        )
+        digests["greedy"].update(repr(greedy).encode())
+        digests["oracle"].update(repr(oracle and oracle.pairs).encode())
+    return {key: d.hexdigest()[:16] for key, d in digests.items()}
+
+
+def test_certify_outputs_pinned_on_fuzz_frames():
+    # the first 100 seed-1 frames of each space that `rootmatch all` fuzzes
+    spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
+    assert len(spaces) == 42
+    frames = [f for s in spaces for f in random_frames(s, 100, seed=1)]
+    assert _certify_digests(frames) == {
+        "masks": "235ba9420931f250",
+        "report": "83b288c87481e100",
+        "greedy": "a2b01ed79233b39d",
+        "oracle": "4e971dd02cb12166",
+    }
+
+
+def test_certify_outputs_pinned_on_sl4_wall_patterns():
+    frames = [make_frame(SL4, vectors) for vectors in _sl4_wall_frames()]
+    assert _certify_digests(frames) == {
+        "masks": "db6a64af52a21ed5",
+        "report": "43c3d0ef0512a240",
+        "greedy": "ac4d5b13ff002c95",
+        "oracle": "292f1f5b1918e724",
+    }
 
 
 def _hall_condition(rows) -> bool:
