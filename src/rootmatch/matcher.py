@@ -13,13 +13,16 @@ columns, used to cross-check existence; ``deficient_rows`` runs the same
 search and, when no matching exists, names rows S whose 1-entries lie in
 fewer than 2|S| columns.
 
-Each route takes its common path first.  The greedy pass fills its
-pairs by row in one plain leftmost loop, and runs Hall's guard only when
-that loop strands a row.  In the b-matching a row with two free columns
-takes its two lowest at once; ``oracle_match`` reads its pairs off that
-path, and only a row with fewer starts the one search, ``_two_per_row``,
-which sets up the owners of the held columns and searches breadth first
-for an augmenting path.  A ``SelectionMatrix`` has checked its masks
+The greedy pass is one staged loop, ``_pass``: the plain pass is that
+loop with Hall's guard skipped, and only when it strands a row does the
+loop run again with the guard on.  The b-matching is one search,
+``_two_per_row``, behind the oracle, Hall's guard and
+``deficient_rows``: one owner table of the held columns per call, and
+per unit of a row's capacity the row's lowest free column or else a
+breadth-first search for an augmenting path.  Its only fast path is the
+oracle's: while each row in turn has two free columns it takes its two
+lowest, as the search would, and at the first row with fewer the search
+runs over all the rows.  A ``SelectionMatrix`` has checked its masks
 when it is made, and raw 0/1 rows are checked by ``masks_from_rows``.
 """
 
@@ -119,11 +122,15 @@ class AlgoTrace:
         return tuple(records)
 
 
-def _staged(rows: Sequence[int], m: int):
-    """The staged pass with Hall's guard; returns ``(picks, deferrals)``,
-    the picks one ``(top, pair)`` per stage.  Each top row takes its
-    leftmost live pair after which the pending rows still match."""
+def _pass(rows: Sequence[int], m: int, guarded: bool):
+    """One staged pass; returns ``(pairs, picks, deferrals)``: the pair of
+    each row, one ``(top, pair)`` per stage, and the pairs Hall's guard
+    deferred.  Each top row takes its leftmost live pair, or, with the
+    guard, its leftmost live pair after which the pending rows still
+    match.  A top row with fewer than two live entries ends the pass with
+    fewer picks than rows, which the guard never lets happen."""
     surviving = (1 << m) - 1  # columns no row holds yet
+    pairs = [None] * len(rows)  # by row
     picks: list[tuple[int, tuple[int, int]]] = []
     deferrals: list[DeferralRecord] = []
     pools = _phases(rows)
@@ -137,21 +144,30 @@ def _staged(rows: Sequence[int], m: int):
                     top, least = i, count
             pool.remove(top)
             live = rows[top] & surviving
-            # one pair passes while the pending rows and the top row
-            # have a matching
-            others = pools[0] + pools[1]
-            for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
-                rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
-                held, reached = _two_per_row([rows[i] & rest for i in others], m)
-                if held is not None:
-                    break
-                blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
-                deferrals.append(DeferralRecord(len(picks) + 1, top, chosen, blocking))
-            else:
-                raise AssertionError("Hall's guard rejected every pair")
+            low = live & -live
+            high = live ^ low
+            if not high:
+                return pairs, picks, deferrals
+            high &= -high
+            chosen = (low.bit_length() - 1, high.bit_length() - 1)
+            rest = surviving ^ low ^ high  # the columns left once the pair is taken
+            if guarded:
+                # from the leftmost on, the first pair after which the
+                # pending rows have a matching
+                others = pools[0] + pools[1]
+                for chosen in combinations([c for c in range(m) if live >> c & 1], 2):
+                    rest = surviving & ~(1 << chosen[0]) & ~(1 << chosen[1])
+                    held, reached = _two_per_row([rows[i] & rest for i in others], m)
+                    if held is not None:
+                        break
+                    blocking = tuple(sorted(i for b, i in enumerate(others) if reached >> b & 1))
+                    deferrals.append(DeferralRecord(len(picks) + 1, top, chosen, blocking))
+                else:
+                    raise AssertionError("Hall's guard rejected every pair")
+            pairs[top] = chosen
             picks.append((top, chosen))
-            surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
-    return picks, deferrals
+            surviving = rest
+    return pairs, picks, deferrals
 
 
 def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
@@ -163,46 +179,26 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     the original row index), and the top row takes the lexicographically
     first live pair after which the pending rows, on the columns left,
     still have a two-per-row matching; each pair skipped is a
-    ``DeferralRecord`` in ``trace.repairs``.  A plain pass, in which each
-    top row takes its leftmost live pair, runs first and fills the pairs
-    by row; the guard runs only when that pass strands a row, because a
-    completed plain pass is a matching of every residual, so the guard
-    would have passed each of its pairs.  The trace keeps one
-    ``(top row, pair)`` per stage; its ``stages`` records are derived
-    from them on first read.  Raises ``NoMatchingError`` exactly when
-    the matrix has no two-per-row matching; its ``trace`` is the
-    stranded plain pass.
+    ``DeferralRecord`` in ``trace.repairs``.  The pass runs first with
+    the guard skipped, and again with it only when that plain pass
+    strands a row, because a completed plain pass is a matching of every
+    residual, so the guard would have passed each of its pairs.  The
+    trace keeps one ``(top row, pair)`` per stage; its ``stages`` records
+    are derived from them on first read.  Raises ``NoMatchingError``
+    exactly when the matrix has no two-per-row matching; its ``trace``
+    is the stranded plain pass.
     """
     rows, m = _rows_of(matrix)
-    n = len(rows)
-    surviving = (1 << m) - 1
-    pairs = [None] * n  # by row
-    picks = []
-    for pool in _phases(rows):
-        while pool:
-            # the lightest row, the lowest index among equals
-            least = m + 1
-            for i in pool:
-                count = (rows[i] & surviving).bit_count()
-                if count < least:
-                    top, least = i, count
-            pool.remove(top)
-            live = rows[top] & surviving
-            low = live & -live
-            live ^= low
-            if not live:
-                return _stranded(rows, m, picks)
-            high = live & -live
-            surviving ^= low | high
-            pairs[top] = pair = (low.bit_length() - 1, high.bit_length() - 1)
-            picks.append((top, pair))
-    return MatchResult(tuple(pairs)), AlgoTrace(rows, m, tuple(picks), ())
+    pairs, picks, deferrals = _pass(rows, m, False)
+    if len(picks) < len(rows):
+        pairs, picks, deferrals = _stranded(rows, m, picks)
+    return MatchResult(tuple(pairs)), AlgoTrace(rows, m, tuple(picks), tuple(deferrals))
 
 
-def _stranded(rows: Sequence[int], m: int, picks: list) -> tuple[MatchResult, AlgoTrace]:
-    """``greedy_match`` once its plain pass has stranded a row after
-    ``picks``: the guarded pass when a matching exists, else a
-    ``NoMatchingError`` that carries the plain pass."""
+def _stranded(rows: Sequence[int], m: int, picks: list):
+    """The guarded pass over rows whose plain pass stranded a row after
+    ``picks``, when a matching exists; else a ``NoMatchingError`` that
+    carries the plain pass."""
     held, reached = _two_per_row(rows, m)
     if held is None:
         blocking = [i for i in range(len(rows)) if reached >> i & 1]
@@ -211,12 +207,7 @@ def _stranded(rows: Sequence[int], m: int, picks: list) -> tuple[MatchResult, Al
             f" exists, rows {blocking} hold fewer than {2 * len(blocking)} columns",
             trace=AlgoTrace(rows, m, tuple(picks), ()),
         )
-    picks, deferrals = _staged(rows, m)
-    pairs = dict(picks)
-    return (
-        MatchResult(tuple(pairs[i] for i in range(len(rows)))),
-        AlgoTrace(rows, m, tuple(picks), tuple(deferrals)),
-    )
+    return _pass(rows, m, True)
 
 
 def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:
@@ -225,30 +216,16 @@ def _two_per_row(rows: Sequence[int], m: int) -> tuple[list[int] | None, int]:
     Returns ``(held, 0)``, ``held[i]`` being the mask of the two columns
     row i holds, or ``(None, reached)`` with ``reached`` the mask of the
     rows a failed search reached.  Each unit of a row's capacity takes
-    the row's lowest free column, so a row with two free columns takes
-    its two lowest at once.  Only a row with fewer sets up the owner of
-    each held column and, per unit with no free column, a breadth-first
-    search over owners for a path to a free column (Hopcroft and Karp
-    1973).  When that search fails, every column of a reached row is
-    held by a reached row, and those rows hold fewer than 2|S| columns,
-    so the reached set S has |N(S)| < 2|S| (Konig 1931).
+    the row's lowest free column, or else a breadth-first search over the
+    owners of the held columns finds a path to a free column (Hopcroft
+    and Karp 1973).  When that search fails, every column of a reached
+    row is held by a reached row, and those rows hold fewer than 2|S|
+    columns, so the reached set S has |N(S)| < 2|S| (Konig 1931).
     """
     free = (1 << m) - 1
+    owner = [0] * m  # the row that holds each held column
     held = [0] * len(rows)
     for i, row in enumerate(rows):
-        avail = row & free
-        rest = avail & (avail - 1)  # avail less its lowest column
-        if rest:
-            pair = avail ^ rest | rest & -rest
-            held[i] = pair
-            free ^= pair
-            continue
-        # the row that holds each held column; rows that took their two
-        # columns at once recorded none
-        owner = [0] * m
-        for r in range(i):
-            h = held[r]
-            owner[(h & -h).bit_length() - 1] = owner[h.bit_length() - 1] = r
         for _unit in (0, 1):
             r, avail = i, row & free
             if not avail:

@@ -156,16 +156,16 @@ _CHUNK = 2000
 
 
 def ratio_angles(
-    i: int, j: int, v_hat: np.ndarray, rotations: np.ndarray, squares: np.ndarray | None = None
+    i: int, j: int, v_hat: np.ndarray, rotations: np.ndarray, squares: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Angles of h.b_ij to Fperp and of h.diag(v_hat) to F for each rotation
     h, ``v_hat`` a unit vector: the arcsin of the complementary projection
     norm, accurate near zero.  The flat parts are the conjugates' diagonals,
-    sqrt(2) h_ki h_kj and sum_l h_kl^2 v_hat_l; ``squares``, when given,
-    is ``rotations * rotations``, taken once for many calls.
+    sqrt(2) h_ki h_kj and sum_l h_kl^2 v_hat_l; ``squares`` is
+    ``rotations * rotations``, taken once for many calls.
     """
     x_diag = rotations[:, :, i] * rotations[:, :, j]
-    y_diag = (rotations * rotations if squares is None else squares) @ v_hat
+    y_diag = squares @ v_hat
     num = np.arcsin(np.clip(np.sqrt(2.0) * np.linalg.norm(x_diag, axis=1), 0.0, 1.0))
     den = np.arcsin(np.sqrt(np.clip(1.0 - np.einsum("bi,bi->b", y_diag, y_diag), 0.0, 1.0)))
     return num, den

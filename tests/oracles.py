@@ -1,5 +1,6 @@
 """Reference computations the tests compare the package against."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -22,47 +23,27 @@ def evaluate_root(root, v):
     return sum(c * x for c, x in zip(root.coords, v) if c)
 
 
-def two_per_row_by_units(rows, m):
-    """Capacity-two b-matching, one unit of a row's capacity at a time:
-    each unit takes the row's lowest free column, or else a breadth-first
-    search over owners finds a path to a free column (Hopcroft and Karp
-    1973).  Returns ``(held, 0)`` or ``(None, reached)`` as
-    ``matcher._two_per_row`` does: its oracle, exact to the bit."""
-    free = (1 << m) - 1
-    owner = [0] * m
-    held = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for _unit in (0, 1):
-            r, avail = i, row & free
-            if not avail:
-                reached, covered, via, queue = 1 << i, held[i], {}, [i]
-                for r in queue:
-                    avail = rows[r] & free
-                    if avail:
-                        break
-                    todo = rows[r] & ~covered
-                    while todo:
-                        low = todo & -todo
-                        todo ^= low
-                        o = owner[low.bit_length() - 1]
-                        if not reached >> o & 1:
-                            reached |= 1 << o
-                            covered |= held[o]
-                            via[o] = (r, low)
-                            queue.append(o)
-                else:
-                    return None, reached
-            low = avail & -avail
-            free ^= low
-            while True:
-                held[r] |= low
-                owner[low.bit_length() - 1] = r
-                if r == i:
-                    break
-                prev, given = via[r]
-                held[r] ^= given
-                r, low = prev, given
-    return held, 0
+@functools.lru_cache(maxsize=None)
+def set_partitions(n):
+    """Every set partition of range(n), each block ascending and the blocks
+    ordered by their least element: Bell(n) of them, the flats of SL(n)."""
+    out = []
+    blocks = []
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        rec(i + 1)
+        blocks.pop()
+
+    rec(0)
+    return tuple(out)
 
 
 def helmert_rows(n):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootmatch.errors import MalformedMatrixError, NoMatchingError
+from rootmatch import checks
+from rootmatch.errors import CheckFailedError, MalformedMatrixError, NoMatchingError
 from rootmatch.exact import exact_rank
 from rootmatch.framematrix import (
     build_matrix,
@@ -16,8 +19,10 @@ from rootmatch.framematrix import (
     verify_properties,
 )
 from rootmatch.matcher import (
+    AlgoTrace,
     DeferralRecord,
     StageRecord,
+    _pass,
     _two_per_row,
     deficient_rows,
     greedy_match,
@@ -26,7 +31,7 @@ from rootmatch.matcher import (
 )
 from rootmatch.rootdata import catalogue, space
 
-from oracles import two_per_row_by_units
+from oracles import set_partitions
 
 SL4 = space("SL(4,R)")
 ALL_ONES = [[1] * 6 for _ in range(3)]
@@ -136,6 +141,34 @@ def _assert_deferrals(rows, trace):
         left = {c for c in range(len(rows[0])) if c not in taken and c not in d.pair}
         union = {j for i in d.blocking_rows for j in left if rows[i][j]}
         assert len(union) < 2 * len(d.blocking_rows)
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_fuzz_check_catches_a_deferral_with_no_hall_witness(monkeypatch, pending):
+    # a planted deferral of the first stage's pair, blocked by no row or by
+    # every pending row, which still have a matching once that pair is taken
+    def planted(matrix):
+        result, trace = greedy_match(matrix)
+        top, pair = trace.picks[0]
+        rows = tuple(i for i in range(matrix.rows) if pending and i != top)
+        return result, dataclasses.replace(trace, repairs=(DeferralRecord(1, top, pair, rows),))
+
+    monkeypatch.setattr(checks, "greedy_match", planted)
+    with pytest.raises(CheckFailedError) as err:
+        checks.fuzz_properties_and_matching(checks.Inputs(fuzz_count=2))
+    assert str(err.value) == (
+        "SL(4,R) frame 0: the pair deferred at stage 1 has no Hall witness"
+    )
+
+
+def test_hall_witness_refuses_a_row_already_matched():
+    # row 0, the top row of stage 1, is left no column once stage 2 takes
+    # its pair, but it is no pending row that could block that pair
+    rows = (0b000011, 0b001100, 0b110000)
+    deferral = DeferralRecord(2, 1, (2, 3), (0,))
+    trace = AlgoTrace(rows, 6, ((0, (0, 1)), (1, (2, 3)), (2, (4, 5))), (deferral,))
+    with pytest.raises(CheckFailedError, match="the pair deferred at stage 2 has no Hall witness"):
+        checks._check_witness(trace, deferral, "here")
 
 
 def test_phase1_last_row_swap_repair():
@@ -298,35 +331,24 @@ def test_soundness_on_random_matrices():
     assert (failed_stages, deferring) == (78, 8)
 
 
-def test_two_per_row_matches_the_per_unit_search():
-    # a row with fewer than two free columns rebuilds the owner table from
-    # the rows before it, also those that took their two lowest at once
+def test_two_per_row_pinned_short_rows():
+    # rows 1 and 3 run short of free columns, and each takes one by an
+    # augmenting path through the rows before it
     assert _two_per_row([58, 12, 159, 197], 9) == ([48, 12, 130, 65], 0)
-    assert two_per_row_by_units([58, 12, 159, 197], 9) == ([48, 12, 130, 65], 0)
-    rng = np.random.default_rng(30)
-    starved = 0
-    for _ in range(3000):
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(2, 2 * n + 4))
-        density = rng.uniform(0.2, 0.9)
-        rows = [int(sum(1 << j for j in range(m) if rng.random() < density)) for _ in range(n)]
-        got = _two_per_row(rows, m)
-        assert got == two_per_row_by_units(rows, m), (rows, m)
-        starved += got[0] is not None and _starves(rows, m)
-    assert starved >= 100
 
 
-def _starves(rows, m):
-    """Whether a row finds fewer than two free columns once each row
-    before it has taken its two lowest."""
-    free = (1 << m) - 1
-    for row in rows:
-        avail = row & free
-        rest = avail & (avail - 1)
-        if not rest:
-            return True
-        free ^= avail ^ rest | rest & -rest
-    return False
+def test_sl3_frames_have_no_matching():
+    # SL(3,R) is excluded: its 2 rows share 3 columns, fewer than the 4
+    # that Hall's condition asks of both rows together
+    frames = random_frames(space("SL(3,R)"), 50, seed=1)
+    assert len(frames) == 50
+    for frame in frames:
+        m = build_matrix(frame)
+        assert (m.rows, m.cols) == (2, 3)
+        with pytest.raises(NoMatchingError):
+            greedy_match(m)
+        assert oracle_match(m) is None
+        assert deficient_rows(m) == (0, 1)
 
 
 def test_oracle_against_brute_force():
@@ -341,17 +363,6 @@ def test_oracle_against_brute_force():
             assert validate(rows, oracle)
 
 
-def _set_partitions(n):
-    """Set partitions of range(n), blocks ordered by their least element."""
-    if n == 0:
-        yield []
-        return
-    for part in _set_partitions(n - 1):
-        for b in range(len(part)):
-            yield part[:b] + [part[b] + [n - 1]] + part[b + 1 :]
-        yield part + [[n - 1]]
-
-
 def _sl4_wall_frames():
     """One spanning SL(4,R) frame per realizable ordered triple of the 14
     wall patterns (set partitions of the 4 coordinates into >= 2 blocks).
@@ -360,7 +371,7 @@ def _sl4_wall_frames():
     0..b-1, re-centred to trace zero; the first permutation triple (in
     itertools order) that spans is kept.
     """
-    parts = [p for p in _set_partitions(4) if len(p) >= 2]
+    parts = [p for p in set_partitions(4) if len(p) >= 2]
 
     def vector(part, values):
         v = [0] * 4
@@ -434,11 +445,16 @@ def _certify_digests(frames):
     return {key: d.hexdigest()[:16] for key, d in digests.items()}
 
 
-def test_certify_outputs_pinned_on_fuzz_frames():
-    # the first 100 seed-1 frames of each space that `rootmatch all` fuzzes
+@functools.lru_cache(maxsize=None)
+def _fuzz_frames():
+    """The first 100 seed-1 frames of each space that `rootmatch all` fuzzes."""
     spaces = [s for s in catalogue() if not s.excluded and 2 <= s.rank <= 6]
     assert len(spaces) == 42
-    frames = [f for s in spaces for f in random_frames(s, 100, seed=1)]
+    return tuple(f for s in spaces for f in random_frames(s, 100, seed=1))
+
+
+def test_certify_outputs_pinned_on_fuzz_frames():
+    frames = _fuzz_frames()
     assert _certify_digests(frames) == {
         "masks": "235ba9420931f250",
         "report": "83b288c87481e100",
@@ -455,6 +471,22 @@ def test_certify_outputs_pinned_on_sl4_wall_patterns():
         "greedy": "ac4d5b13ff002c95",
         "oracle": "292f1f5b1918e724",
     }
+
+
+def test_guard_keeps_every_completed_plain_pass():
+    # greedy runs Hall's guard only when the plain pass strands a row; a
+    # completed plain pass is a matching of every residual, so the guarded
+    # pass takes the same pairs and defers none
+    frames = _fuzz_frames() + tuple(make_frame(SL4, vectors) for vectors in _sl4_wall_frames())
+    completed = 0
+    for frame in frames:
+        m = build_matrix(frame)
+        pairs, picks, deferrals = _pass(m.masks, m.cols, False)
+        if len(picks) < m.rows:
+            continue
+        completed += 1
+        assert _pass(m.masks, m.cols, True) == (pairs, picks, [])
+    assert (len(frames), completed) == (6460, 6074)
 
 
 def _hall_condition(rows) -> bool:

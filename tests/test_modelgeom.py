@@ -46,6 +46,7 @@ from oracles import (
     gram_deviation_by_trace,
     haar_batch_by_lapack_qr,
     helmert_rows,
+    set_partitions,
     snap_by_numpy_blocks,
     stabilizer_projection,
 )
@@ -347,7 +348,8 @@ def test_stabilizer_rotations_keep_q_in_fperp():
 def test_ratio_angles_identity_is_degenerate():
     v = np.asarray([1, 1, 1, -3], float)
     v /= np.linalg.norm(v)
-    num, den = ratio_angles(0, 3, v, np.eye(4)[None, :, :])
+    hs = np.eye(4)[None, :, :]
+    num, den = ratio_angles(0, 3, v, hs, hs * hs)
     assert num[0] <= 1e-12
     assert den[0] <= 1e-12  # would be skipped and counted
 
@@ -358,7 +360,7 @@ def test_ratio_angles_match_angle_to_subspace():
     v /= np.linalg.norm(v)
     b = MODEL4.b_matrix(0, 3)
     hs = _haar_batch(rng, 4, 8)
-    num, den = ratio_angles(0, 3, v, hs)
+    num, den = ratio_angles(0, 3, v, hs, hs * hs)
     fperp = MODEL4.fperp_basis()
     flat = MODEL4.flat_basis()
     for k, h in enumerate(hs):
@@ -390,7 +392,7 @@ def test_ratio_angles_match_full_conjugates():
         v /= np.linalg.norm(v)
         hs = _haar_batch(rng, n, 500)
         for i, j in ((0, n - 1), (1, 2)):
-            got = ratio_angles(i, j, v, hs)
+            got = ratio_angles(i, j, v, hs, hs * hs)
             want = _ratio_angles_full_conjugates(model.b_matrix(i, j), np.diag(v), hs)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
@@ -585,28 +587,6 @@ def test_snap_refuses_what_is_no_unit_flat_vector(w, error):
         snap_to_singular(MODEL4, w)
 
 
-@functools.lru_cache(maxsize=None)
-def _set_partitions(n):
-    """Every set partition of range(n), each block ascending: Bell(n) of them."""
-    out = []
-    blocks = []
-
-    def rec(i):
-        if i == n:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return tuple(out)
-
-
 def _face(w, part):
     """(vanishing count, distance, projection) of w onto the face of a partition."""
     proj = w.copy()
@@ -647,7 +627,7 @@ def test_snap_matches_bell_enumeration(n):
             # a few clusters with small spread, so every radius finds walls
             centers = rng.standard_normal(3)
             w = _unit_flat(rng.choice(centers, n) + 0.03 * rng.standard_normal(n))
-        faces = [_face(w, part) for part in _set_partitions(n)]
+        faces = [_face(w, part) for part in set_partitions(n)]
         for radius in (model.epsilon_zero, 0.2, 0.5):
             _key, want = _bell_snap(faces, radius)
             got = snap_to_singular(model, w, radius)
@@ -664,7 +644,7 @@ def test_snap_with_repeated_coordinates(n):
         k = rng.integers(2, n)  # distinct values, each used at least once
         slots = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
         w = _unit_flat(rng.standard_normal(k)[rng.permutation(slots)])
-        faces = [_face(w, part) for part in _set_partitions(n)]
+        faces = [_face(w, part) for part in set_partitions(n)]
         for radius in (model.epsilon_zero, 0.2, 0.5):
             (neg_vanishing, want_dist), _want = _bell_snap(faces, radius)
             got = snap_to_singular(model, w, radius)
