@@ -13,10 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import ExcludedSpaceError
-from .exact import Rat, primitive_integer, solve_unique_many
+from .exact import Rat, integer_inverse, primitive_integer
 from .rootdata import (
     KTYPE_SO,
     KTYPE_SO_PAIR,
@@ -58,11 +57,20 @@ def _simple_positions(coords: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def fundamental_coweights(rootsys: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact dual basis to the simple roots inside the flat.
+    """Exact dual basis to the simple roots inside the flat, as
+    ``Fraction(x, det)`` of the rows of ``integer_coweights``: one integer
+    inverse per set of simple roots' coordinates, and no rational solve."""
+    rows, det = integer_coweights(rootsys)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in rows)
+
+
+def integer_coweights(rootsys: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(rows, det)``: row i is ``det`` times fundamental coweight i, an
+    integer vector on the same ray, and ``det > 0``.
 
     For the A family the flat is the trace-zero hyperplane, so the
-    defining system carries the extra trace equation.  One elimination
-    solves for every coweight, once per set of simple roots' coordinates
+    defining matrix carries the extra trace row.  One integer inverse
+    gives every coweight, once per set of simple roots' coordinates
     (``_coweights``), which multiplicities do not change.
     """
     simples = tuple(s.coords for s in simple_system(rootsys))
@@ -72,12 +80,13 @@ def fundamental_coweights(rootsys: RootSystem) -> tuple[tuple[Fraction, ...], ..
 @functools.lru_cache(maxsize=None)
 def _coweights(
     simples: tuple[tuple[int, ...], ...], traceless: bool
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> tuple[tuple[tuple[int, ...], ...], int]:
     rows = [list(s) for s in simples]
     if traceless:
         rows.append([1] * len(simples[0]))
-    rhss = [[int(i == j) for j in range(len(rows))] for i in range(len(simples))]
-    return solve_unique_many(rows, rhss)
+    adj, det = integer_inverse(rows)
+    # coweight i solves rows @ w = e_i, so det * w is column i of adj
+    return tuple(zip(*adj))[: len(simples)], det
 
 
 @dataclass(frozen=True)
@@ -101,18 +110,16 @@ def enumerate_faces(space: SpaceDescriptor) -> list[FaceClass]:
     face (its witness is the zero vector).
     """
     rootsys = space.rootsys
-    coweights = fundamental_coweights(rootsys)
-    # the coweights on one common denominator: integer vectors on the
-    # same rays, so sums of them keep the rays of the rational sums
-    scale = lcm(*(x.denominator for w in coweights for x in w))
-    scaled = [[int(x * scale) for x in w] for w in coweights]
+    # integer vectors on the rays of the coweights, all scaled by one
+    # det > 0, so sums of them keep the rays of the rational sums
+    coweights, _det = integer_coweights(rootsys)
     rank = rootsys.rank
     sums = []
     for smask in range(1 << rank):
         acc = [0] * rootsys.coord_dim
         for i in range(rank):
             if not smask >> i & 1:
-                acc = [a + x for a, x in zip(acc, scaled[i])]
+                acc = [a + x for a, x in zip(acc, coweights[i])]
         sums.append(acc)
     # the witness of S sums the coweights outside S and a positive root
     # has nonnegative simple coefficients, so a root vanishes on it

@@ -191,9 +191,8 @@ def hand_derived_instance(inputs: Inputs) -> str:
     ]
     if labels != [["14", "24"], ["12", "13"], ["23", "34"]]:
         raise CheckFailedError(f"pairs {labels}")
-    stages = [(s.top_row, s.chosen) for s in trace.stages]
-    if stages != [(0, (2, 4)), (1, (0, 1)), (2, (3, 5))] or trace.repairs:
-        raise CheckFailedError(f"trace {stages}, deferred {trace.repairs}")
+    if trace.picks != ((0, (2, 4)), (1, (0, 1)), (2, (3, 5))) or trace.repairs:
+        raise CheckFailedError(f"trace {trace.picks}, deferred {trace.repairs}")
     return "SL(4,R) wall frame: matrix, pairs and trace exact"
 
 

@@ -1,8 +1,10 @@
 """Small exact linear algebra kernel over the rationals.
 
-Everything here is deliberately dependency free: vectors are tuples of
-ints or ``fractions.Fraction`` and eliminations are done symbolically so
-that zero tests are decisions, not tolerance checks.
+Everything here is deliberately dependency free.  A rational row
+(ints or ``fractions.Fraction``) is read once as an integer row on the
+same ray; rank and inverse are both fraction-free Bareiss eliminations
+on Python ints, so zero tests are decisions, not tolerance checks, and
+there is no rational solve.
 """
 
 from __future__ import annotations
@@ -98,50 +100,39 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return r
 
 
-def solve_unique_many(
-    rows: Sequence[Sequence[Rat]], rhss: Sequence[Sequence[Rat]]
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Solve a consistent rational system with a unique solution, for
-    several right-hand sides in one elimination.
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(adj, det)`` for a square matrix of Python ints: ``det = |det(rows)|``
+    and ``adj = det * rows^-1``, an integer matrix; ``ValueError`` when
+    ``rows`` is singular or not square.
 
-    Accepts more equations than unknowns; raises ``ValueError`` when the
-    system is inconsistent or underdetermined.
+    Fraction-free Gauss-Jordan on ``[rows | I]`` (Bareiss 1968): after
+    step k every entry is a minor of order k + 1, so the division by the
+    previous pivot is exact, and the left block ends as ``d * I`` with
+    ``d = +-det``; one sign flip makes ``det`` positive.
     """
-    m = len(rows)
-    if any(len(rhs) != m for rhs in rhss):
-        raise ValueError("system shape mismatch")
-    n = len(rows[0]) if m else 0
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(rhs[i]) for rhs in rhss]
-        for i, row in enumerate(rows)
-    ]
-    pivots: list[int] = []
-    r = 0
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
     for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
-        aug[r] = [a / lead for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][n:]):
-            raise ValueError("inconsistent system")
-    if len(pivots) != n:
-        raise ValueError("underdetermined system")
-    solutions = []
-    for k in range(n, n + len(rhss)):
-        sol = [Fraction(0)] * n
-        for i, c in enumerate(pivots):
-            sol[c] = aug[i][k]
-        solutions.append(tuple(sol))
-    return tuple(solutions)
+        for i in range(c, n):
+            if work[i][c]:
+                break
+        else:
+            raise ValueError("matrix is singular")
+        top = work[i]
+        work[i] = work[c]
+        work[c] = top
+        lead = top[c]
+        for i in range(n):
+            if i != c:
+                row = work[i]
+                f = row[c]
+                work[i] = [(lead * a - f * b) // prev for a, b in zip(row, top)]
+        prev = lead
+    sign = 1 if prev > 0 else -1
+    return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * prev
 
 
 def primitive_integer(vec: Sequence[Rat]) -> tuple[int, ...]:

@@ -303,17 +303,17 @@ def verify_properties(matrix: SelectionMatrix, space: SpaceDescriptor) -> Proper
 _CHUNK = 128  # most attempts drawn and tested for spanning together
 _P = 2**31 - 1  # prime modulus of the batched spanning test
 # entries mod p are below 2**31, so lead * a - f * b stays exact in int64
-assert 2 * (_P - 1) ** 2 < 2**63
+# (tests/test_framematrix.py checks 2 * (p - 1)**2 < 2**63)
 
 
 @functools.lru_cache(maxsize=None)
 def _integer_coweights(rootsys: RootSystem) -> np.ndarray:
     """The fundamental coweights as primitive integer rows, a read-only
     (rank, dim) int64 array shared by every caller."""
-    from .chamber import fundamental_coweights
+    from .chamber import integer_coweights
     from .exact import primitive_integer
 
-    rows = np.array([primitive_integer(w) for w in fundamental_coweights(rootsys)], dtype=np.int64)
+    rows = np.array([primitive_integer(w) for w in integer_coweights(rootsys)[0]], dtype=np.int64)
     rows.flags.writeable = False
     return rows
 

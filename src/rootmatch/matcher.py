@@ -115,7 +115,8 @@ class AlgoTrace:
             pool = pools[phase - 1]  # ascending row indices, so the sort is by (count, row)
             counts = tuple((i, (rows[i] & surviving).bit_count()) for i in pool)
             order = tuple(i for i, _count in sorted(counts, key=lambda c: c[1]))
-            assert order[0] == top, "picks do not follow the stage rule"
+            if order[0] != top:
+                raise RuntimeError("picks do not follow the stage rule")
             records.append(StageRecord(t, phase, order, top, counts, chosen))
             pool.remove(top)
             surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])

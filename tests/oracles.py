@@ -23,6 +23,29 @@ def evaluate_root(root, v):
     return sum(c * x for c, x in zip(root.coords, v) if c)
 
 
+def fraction_inverse(rows):
+    """The inverse of a square rational matrix as lists of Fractions, by
+    plain Gauss-Jordan on ``[rows | I]``, or None when it is singular:
+    the oracle for ``exact.integer_inverse``."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        lead = aug[c][c]
+        aug[c] = [a / lead for a in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
 @functools.lru_cache(maxsize=None)
 def set_partitions(n):
     """Every set partition of range(n), each block ascending and the blocks

@@ -5,6 +5,7 @@ import pytest
 from rootmatch.chamber import (
     enumerate_faces,
     fundamental_coweights,
+    integer_coweights,
     simple_system,
     stabilizer_codim,
     verify_codim_bounds,
@@ -58,6 +59,8 @@ def test_coweights_are_dual_to_simples():
     for name in ("SL(5,R)", "SO(3,5)", "Sp(8,R)", "SU(4,3)", "SO(5,5)"):
         rs = space(name).rootsys
         simples = simple_system(rs)
+        rows, det = integer_coweights(rs)
+        assert det > 0 and all(type(x) is int for row in rows for x in row)
         for i, w in enumerate(fundamental_coweights(rs)):
             for j, s in enumerate(simples):
                 value = evaluate_root(s, w)
@@ -78,8 +81,9 @@ def test_derivations_are_shared_across_multiplicities():
         assert [r.coords for r in simples] == [(1, -1, 0), (0, 1, -1), (0, 0, 1)]
     assert [r.multiplicity for r in simple_system(a)] == [1, 1, 1]
     assert [r.multiplicity for r in simple_system(b)] == [1, 1, 2]
-    # one elimination per set of simple roots
-    assert fundamental_coweights(a) is fundamental_coweights(b) is fundamental_coweights(c)
+    # one integer inverse per set of simple roots
+    assert integer_coweights(a) is integer_coweights(b) is integer_coweights(c)
+    assert fundamental_coweights(a) == fundamental_coweights(b) == fundamental_coweights(c)
 
 
 def test_sl4_regular_face():
@@ -177,6 +181,29 @@ def test_enumerate_faces_pinned():
     ]
     assert len(faces) == 54
     assert hashlib.sha256(repr(faces).encode()).hexdigest()[:16] == "33cef94377ec531f"
+
+
+def test_coweights_and_faces_pinned_on_every_space():
+    # digests over all 55 catalogue spaces, the excluded SL(3,R) included:
+    # the fundamental coweights as Fractions, and every face (subset,
+    # vanishing coords, codim, witness); taken when the coweights came
+    # from a rational solve and the witnesses from an lcm rescale of them
+    spaces = catalogue()
+    assert len(spaces) == 55
+    coweights = [(s.name, fundamental_coweights(s.rootsys)) for s in spaces]
+    faces = [
+        (
+            s.name,
+            [
+                (f.simple_subset, tuple(r.coords for r in f.vanishing), f.codim, f.witness)
+                for f in enumerate_faces(s)
+            ],
+        )
+        for s in spaces
+    ]
+    assert sum(len(f) for _name, f in faces) == 3264
+    assert hashlib.sha256(repr(coweights).encode()).hexdigest()[:16] == "5b6ce0b869d8e4af"
+    assert hashlib.sha256(repr(faces).encode()).hexdigest()[:16] == "7cf5f102ffba4ca0"
 
 
 def test_monotonicity():

@@ -4,14 +4,18 @@ from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootmatch.exact import (
     exact_rank,
+    integer_inverse,
     integer_rank,
     integer_rows,
     primitive_integer,
-    solve_unique_many,
 )
+
+from oracles import fraction_inverse
 
 
 def test_rank_full_and_deficient():
@@ -80,33 +84,52 @@ def test_rank_against_fraction_oracle():
         assert ints == before  # the kernel writes into no row it was given
 
 
-def test_solve_unique_square():
-    sol = solve_unique_many([(2, 0), (1, 1)], [(3, 1)])[0]
-    assert sol == (Fraction(3, 2), Fraction(-1, 2))
+@st.composite
+def _matrices(draw):
+    """Integer n x n matrices, n = 1..9, entries in [-9, 9].  A zero
+    leading z x z block, z <= n / 2, makes the first pivots come from
+    lower rows; about one draw in four repeats a row up to sign, so it
+    is singular; the determinant's sign is left to the entries."""
+    n = draw(st.integers(1, 9))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    z = draw(st.integers(0, n // 2))
+    for r in rows[:z]:
+        r[:z] = [0] * z
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = [draw(st.sampled_from((-1, 1))) * x for x in rows[i]]
+    return rows
 
 
-def test_solve_unique_overdetermined_consistent():
-    # x = 1, y = 2 seen through three consistent equations
-    sol = solve_unique_many([(1, 0), (0, 1), (1, 1)], [(1, 2, 3)])[0]
-    assert sol == (Fraction(1), Fraction(2))
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_matrices())
+def test_integer_inverse_matches_fraction_inverse(rows):
+    before = [list(row) for row in rows]
+    want = fraction_inverse(rows)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse(rows)
+    else:
+        adj, det = integer_inverse(rows)
+        assert det > 0
+        assert all(type(x) is int for row in adj for x in row)
+        assert [[Fraction(x, det) for x in row] for row in adj] == want
+    assert rows == before  # the kernel writes into no row it was given
 
 
-def test_solve_unique_errors():
-    with pytest.raises(ValueError):
-        solve_unique_many([(1, 0), (1, 0)], [(1, 2)])  # inconsistent
-    with pytest.raises(ValueError):
-        solve_unique_many([(1, 1)], [(1,)])  # underdetermined
-
-
-def test_solve_unique_many_matches_single_solves():
-    rows = [(1, -1, 0), (0, 1, -1), (1, 1, 1), (2, 0, 0)]
-    rhss = [(1, 0, 1, 2), (-1, 1, 1, 0), (-1, -1, 6, 2)]  # x = e1, e2, (1, 2, 3)
-    assert solve_unique_many(rows, rhss) == ((1, 0, 0), (0, 1, 0), (1, 2, 3))
-    assert solve_unique_many(rows, rhss) == tuple(solve_unique_many(rows, [b])[0] for b in rhss)
-    with pytest.raises(ValueError):
-        solve_unique_many(rows, [(1, 0, 1, 2), (0, 1, 0, 1)])  # second inconsistent
-    with pytest.raises(ValueError):
-        solve_unique_many(rows, [(1, 0, 0)])
+def test_integer_inverse_swaps_rows_and_flips_the_sign():
+    # a zero leading pivot and a negative determinant
+    adj, det = integer_inverse([[0, 1], [1, 0]])
+    assert (adj, det) == (((0, 1), (1, 0)), 1)
+    adj, det = integer_inverse([[0, 2, 0], [3, 0, 0], [0, 0, 1]])
+    assert det == 6 and adj == ((0, 2, 0), (3, 0, 0), (0, 0, 6))
+    assert integer_inverse([]) == ((), 1)
+    for singular in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="singular"):
+            integer_inverse(singular)
+    with pytest.raises(ValueError, match="not square"):
+        integer_inverse([[1, 0, 0], [0, 1, 0]])
 
 
 def test_primitive_integer():

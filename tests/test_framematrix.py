@@ -411,6 +411,11 @@ def test_random_frames_reject_a_planted_zero_vector(monkeypatch):
     assert frames == random_frames_by_attempt(s, 10, 3, singular_fraction=0.0)
 
 
+def test_spans_mod_p_products_fit_in_int64():
+    # entries mod p are below p, so lead * a - f * b stays exact in int64
+    assert 2 * (_P - 1) ** 2 < 2**63
+
+
 def test_spans_mod_p_defers_to_exact_rank():
     # full rank over Q but singular mod p: a zero row mod p, and a
     # determinant of exactly p; then a rational dependency, and a generic frame

@@ -161,6 +161,15 @@ def test_fuzz_check_catches_a_deferral_with_no_hall_witness(monkeypatch, pending
     )
 
 
+def test_stages_refuse_picks_that_break_the_stage_rule():
+    # two phase-2 rows of weights 3 and 4: the stage rule takes row 0
+    # first, so a trace whose first pick is the heavier row 1 has no
+    # stage records
+    trace = AlgoTrace((0b0111, 0b1111), 4, ((1, (2, 3)), (0, (0, 1))), ())
+    with pytest.raises(RuntimeError, match="picks do not follow the stage rule"):
+        trace.stages
+
+
 def test_hall_witness_refuses_a_row_already_matched():
     # row 0, the top row of stage 1, is left no column once stage 2 takes
     # its pair, but it is no pending row that could block that pair
