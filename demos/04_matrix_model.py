@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from rootmatch import ModelSpace, q_subspace, sample_ratio, stabilizer_generators
-from rootmatch.modelgeom import stabilizer_rotation, trace_inner
+from rootmatch.exact import cayley
+from rootmatch.modelgeom import trace_inner
 
 model = ModelSpace(4)
 
@@ -42,14 +43,16 @@ gens = stabilizer_generators(model, v)
 print("  stabilizer has", len(gens), "generators")
 
 # Stabilizer rotations keep Q_v inside the complement of the flat: the
-# degenerate case of the ratio inequality, checked directly.
-worst = 0.0
-for coeffs in 1.3 * np.eye(len(gens)):
-    h = stabilizer_rotation(model, gens, coeffs)  # exp(1.3 k) of one generator k
-    for b in q_subspace(model, v):
-        moved = h @ b @ h.T
-        worst = max(worst, float(np.linalg.norm(np.diag(moved))))
-print("  worst flat component under stabilizer rotations:", worst)
+# degenerate case of the ratio inequality, decided exactly.  The Cayley
+# rotation h = num / det of (13/10) k, k one generator, is rational, and
+# the flat part of h b_ij h^T is its diagonal, sqrt(2) h_ki h_kj.
+q_pairs = [(i, j) for i, j in model.pairs if v[i] != v[j]]
+worst = Fraction(0)
+for k in gens:
+    num, det = cayley(13 * k, 10)
+    for i, j in q_pairs:
+        worst = max(worst, *(Fraction(abs(row[i] * row[j]), det * det) for row in num))
+print("  worst flat component under stabilizer rotations:", worst, "(exact)")
 print()
 
 est = sample_ratio(model, v, model.pairs.index((0, 3)), samples=20_000, seed=1)

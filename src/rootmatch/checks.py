@@ -5,7 +5,8 @@ Every check takes the four inputs of ``rootmatch all`` and returns a
 line of evidence; on the first failure it raises ``CheckFailedError``
 with the failing detail.  ``--seeds`` picks the fuzz corpus (its first
 seed) and the ratio-sample seeds; every other random instance is fixed
-below, so the defaults run exactly the acceptance suite.  The checks of
+below, so the defaults run exactly the acceptance suite.  The model's
+identities (criteria 6, 7 and 9) are integer decisions.  The checks of
 criteria 8-10 judge each instance through a ``judge_*`` function, which
 ``rootmatch verify`` calls on its own instance, and ``run`` runs named
 checks for both commands.
@@ -16,12 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .chamber import enumerate_faces, verify_codim_bounds
 from .errors import CheckFailedError, NoMatchingError
+from .exact import cayley
 from .framematrix import build_matrix, make_frame, random_frames, verify_properties
 from .matcher import AlgoTrace, DeferralRecord, greedy_match, oracle_match, validate
 from .modelgeom import (
@@ -30,12 +33,8 @@ from .modelgeom import (
     RatioEstimate,
     pipeline_flat,
     pipeline_perturbed,
-    q_subspace,
     random_perturbation_case,
     sample_ratio,
-    stabilizer_generators,
-    stabilizer_rotation,
-    trace_inner,
 )
 from .rootdata import KTYPE_SO_PAIR, catalogue, dimension_errors, space
 
@@ -218,25 +217,26 @@ def bracket_identity_exact(inputs: Inputs) -> str:
 
 
 def fperp_gram_identity(inputs: Inputs) -> str:
-    """Criterion 6: the Fperp basis has one member per column and Gram
-    matrix I to 1e-14, n = 3..8."""
-    worst = 0.0
+    """Criterion 6: one Fperp member b_ij = |k_ij| / sqrt(2) per column,
+    and the integer |k_ij| have Gram matrix exactly 2I, n = 3..8."""
+    members = 0
     for n in range(3, 9):
-        basis = ModelSpace(n).fperp_basis()
-        if len(basis) != space(f"SL({n},R)").columns:
-            raise CheckFailedError(f"n={n}: {len(basis)} basis members, not one per column")
-        for a in range(len(basis)):
-            for b in range(a, len(basis)):
-                deviation = abs(trace_inner(basis[a], basis[b]) - (1.0 if a == b else 0.0))
-                if deviation > 1e-14:
-                    raise CheckFailedError(f"n={n}: Gram deviation {deviation:.3e}")
-                worst = max(worst, deviation)
-    return f"max Gram deviation {worst:.1e} at n=3..8"
+        model = ModelSpace(n)
+        if len(model.pairs) != model.space.columns:
+            raise CheckFailedError(f"n={n}: {len(model.pairs)} basis members, not one per column")
+        p = np.array([np.abs(model.k_matrix(i, j)) for i, j in model.pairs])
+        if not np.array_equal(np.einsum("aij,bji->ab", p, p), 2 * np.eye(len(p), dtype=int)):
+            raise CheckFailedError(f"n={n}: the Gram matrix of the |k_ij| is not 2I")
+        members += len(p)
+    return f"{members} members at n=3..8, Gram matrix of the |k_ij| exactly 2I"
 
 
 def stabilizer_zero_case(inputs: Inputs) -> str:
     """Criterion 7: 50 stabilizer rotations per proper face keep Q_v
-    within 1e-9 rad of Fperp, n = 4, 5."""
+    exactly perpendicular to the flat, n = 4, 5.  Each is the ``cayley``
+    rotation h of p/q times the k_ij of the roots the face's witness v
+    kills (p in [-20, 20], q in [1, 10]): h_ab = 0 wherever v_a != v_b,
+    and h_ki.h_kj = 0 for every k and every other column's b_ij."""
     rng = np.random.default_rng(ZERO_CASE_SEED)
     checked = 0
     for n in (4, 5):
@@ -245,18 +245,23 @@ def stabilizer_zero_case(inputs: Inputs) -> str:
         for face in enumerate_faces(model.space):
             if not face.simple_subset or face.simple_subset == full:
                 continue
-            v = face.witness
-            basis = q_subspace(model, v)
-            gens = stabilizer_generators(model, v)
+            where, v = f"n={n} face {face.simple_subset}", face.witness
+            gens = [root.support for root in face.vanishing]
             if not gens:
-                raise CheckFailedError(f"n={n} face {face.simple_subset}: no stabilizer")
-            for _ in range(50):
-                h = stabilizer_rotation(model, gens, rng.uniform(-2.0, 2.0, size=len(gens)))
-                for b in basis:
-                    moved = h @ b @ h.T
-                    angle = np.arcsin(min(1.0, float(np.linalg.norm(np.diag(moved)))))
-                    if angle > 1e-9:
-                        raise CheckFailedError(f"n={n} face {face.simple_subset}: {angle:.3e} rad")
+                raise CheckFailedError(f"{where}: no stabilizer")
+            members = [pair for pair in model.pairs if pair not in gens]
+            ps = rng.integers(-20, 21, size=(50, len(gens))).tolist()
+            for p, q in zip(ps, rng.integers(1, 11, size=(50, len(gens))).tolist()):
+                d = lcm(*q)
+                skew = [[0] * n for _ in range(n)]
+                for (i, j), a, b in zip(gens, p, q):
+                    skew[i][j], skew[j][i] = a * d // b, -a * d // b
+                h, _det = cayley(skew, d)
+                if any(h[a][b] for a in range(n) for b in range(n) if v[a] != v[b]):
+                    raise CheckFailedError(f"{where}: a rotation moves v")
+                for i, j in members:
+                    if any(row[i] * row[j] for row in h):
+                        raise CheckFailedError(f"{where}: b_{i}{j} leaves Fperp")
                     checked += 1
     return f"{checked} rotated Q_v members"
 
@@ -287,22 +292,20 @@ def ratio_stability(inputs: Inputs) -> str:
 
 
 def judge_doubled_frame(model: ModelSpace, out: DoubledFrame) -> str:
-    """Criterion 9's verdict on one doubled frame: 2k members of distinct
-    columns, each unit and perpendicular to the flat, and Gram deviation
-    at most 1e-12."""
-    n, members = model.n, out.members()
+    """Criterion 9's verdict on one doubled frame of the flat pipeline:
+    2k members of distinct columns, Gram deviation exactly 0, and every
+    rotation exactly the identity, so that the members are the b_c of
+    their columns, exactly orthonormal and perpendicular to the flat."""
+    n = model.n
+    members = 2 * min(len(out.rotations), len(out.match.pairs))
     columns = {c for row_pair in out.match.pairs for c in row_pair}
-    if len(members) != 2 * model.rank or len(columns) != 2 * model.rank:
-        raise CheckFailedError(f"n={n}: {len(members)} members, not 2k distinct")
-    if out.gram_deviation > 1e-12:
+    if members != 2 * model.rank or len(columns) != 2 * model.rank:
+        raise CheckFailedError(f"n={n}: {members} members, not 2k distinct")
+    if out.gram_deviation != 0:
         raise CheckFailedError(f"n={n}: Gram deviation {out.gram_deviation:.3e}")
-    flat_basis = model.flat_basis()
-    for member in members:
-        if abs(trace_inner(member, member) - 1.0) > 1e-12 or any(
-            abs(trace_inner(member, f)) > 1e-12 for f in flat_basis
-        ):
-            raise CheckFailedError(f"n={n}: member not unit or not perp to the flat")
-    return f"{len(members)} members, Gram deviation {out.gram_deviation:.1e}"
+    if not all(np.array_equal(r, np.eye(n)) for r in out.rotations):
+        raise CheckFailedError(f"n={n}: member not unit or not perp to the flat")
+    return f"{members} members, Gram deviation {out.gram_deviation:.1e}"
 
 
 def flat_pipeline(inputs: Inputs) -> str:

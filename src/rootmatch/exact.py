@@ -3,8 +3,9 @@
 Everything here is deliberately dependency free.  A rational row
 (ints or ``fractions.Fraction``) is read once as an integer row on the
 same ray; rank and inverse are both fraction-free Bareiss eliminations
-on Python ints, so zero tests are decisions, not tolerance checks, and
-there is no rational solve.
+on Python ints, and the Cayley rotation of a rational skew matrix is an
+integer matrix over a determinant from one such inverse, so zero tests
+are decisions, not tolerance checks, and there is no rational solve.
 """
 
 from __future__ import annotations
@@ -133,6 +134,24 @@ def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...
         prev = lead
     sign = 1 if prev > 0 else -1
     return tuple(tuple(sign * x for x in row[n:]) for row in work), sign * prev
+
+
+def cayley(skew: Sequence[Sequence[int]], d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(num, det)`` with num / det the Cayley rotation (I - S)(I + S)^-1
+    of S = skew / d, from one ``integer_inverse`` of d*I + skew, which a
+    skew-symmetric matrix never makes singular: det = det(d*I + skew) > 0.
+    ``InvalidParamsError`` unless ``skew`` is a square skew-symmetric
+    matrix of integers and d >= 1."""
+    d = as_int(d, "Cayley denominator", 1)
+    s = [[as_int(x, "skew entry") for x in row] for row in skew]
+    n = len(s)
+    if any(len(row) != n for row in s) or any(
+        s[i][j] != -s[j][i] for i in range(n) for j in range(i, n)
+    ):
+        raise InvalidParamsError("Cayley rotation needs a square skew-symmetric matrix")
+    adj, det = integer_inverse([[d * (i == j) + s[i][j] for j in range(n)] for i in range(n)])
+    minus = [[d * (i == j) - s[i][j] for j in range(n)] for i in range(n)]
+    return tuple(tuple(sum(map(operator.mul, r, c)) for c in zip(*adj)) for r in minus), det
 
 
 def primitive_integer(vec: Sequence[Rat]) -> tuple[int, ...]:

@@ -6,8 +6,8 @@ of each stage takes its leftmost live pair after which the rows still
 pending can be matched (Hall's guard).  Each pair the guard skips is
 recorded with the rows that rule it out.  The pass keeps one (top row,
 pair) per stage; ``AlgoTrace.stages``, the stage records with each
-stage's live counts and order, is derived from them on first read, so a
-caller that reads only the pairs pays nothing for it.  ``oracle_match``
+stage's live counts and order, is a replay of the pass on first read, so
+a caller that reads only the pairs pays nothing for it.  ``oracle_match``
 is an exact, hypothesis-free b-matching in which each row holds two
 columns, used to cross-check existence; ``deficient_rows`` runs the same
 search and, when no matching exists, names rows S whose 1-entries lie in
@@ -76,27 +76,16 @@ class DeferralRecord:
     kind: str = "deferred"
 
 
-def _phases(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Phase-1 rows (weight equal to the number of rows) and phase-2 rows,
-    each in ascending row index."""
-    n = len(rows)
-    first: list[int] = []
-    second: list[int] = []
-    for i, row in enumerate(rows):
-        (first if row.bit_count() == n else second).append(i)
-    return first, second
-
-
 @dataclass(frozen=True)
 class AlgoTrace:
     """A greedy pass as run: the row bitmasks and column count it read,
     one ``(top row, pair)`` per completed stage in stage order, and the
     pairs Hall's guard deferred.
 
-    ``stages`` is derived from the picks on first read and kept: it
-    replays them over the rows, so that each ``StageRecord`` gives the
-    live counts and the order of its stage's pool.  A failed plain pass
-    has fewer picks than rows.
+    ``stages`` is built on first read and kept: it replays ``_pass`` over
+    the rows, which must give the same picks, so that each
+    ``StageRecord`` gives the live counts and the order of its stage's
+    pool.  A failed plain pass has fewer picks than rows.
     """
 
     rows: tuple[int, ...]
@@ -106,37 +95,38 @@ class AlgoTrace:
 
     @cached_property
     def stages(self) -> tuple[StageRecord, ...]:
-        rows = self.rows
-        surviving = (1 << self.cols) - 1
-        pools = _phases(rows)
+        counts: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+        _pairs, picks, _deferrals = _pass(self.rows, self.cols, bool(self.repairs), counts)
+        if tuple(picks) != self.picks:
+            raise RuntimeError("picks do not follow the stage rule")
         records = []
-        for t, (top, chosen) in enumerate(self.picks, start=1):
-            phase = 1 if pools[0] else 2
-            pool = pools[phase - 1]  # ascending row indices, so the sort is by (count, row)
-            counts = tuple((i, (rows[i] & surviving).bit_count()) for i in pool)
-            order = tuple(i for i, _count in sorted(counts, key=lambda c: c[1]))
-            if order[0] != top:
-                raise RuntimeError("picks do not follow the stage rule")
-            records.append(StageRecord(t, phase, order, top, counts, chosen))
-            pool.remove(top)
-            surviving &= ~(1 << chosen[0]) & ~(1 << chosen[1])
+        for t, ((top, chosen), (phase, live)) in enumerate(zip(picks, counts), start=1):
+            # a pool lists its rows in ascending index, so the sort is by (count, row)
+            order = tuple(i for i, _count in sorted(live, key=lambda c: c[1]))
+            records.append(StageRecord(t, phase, order, top, live, chosen))
         return tuple(records)
 
 
-def _pass(rows: Sequence[int], m: int, guarded: bool):
+def _pass(rows: Sequence[int], m: int, guarded: bool, counts: list | None = None):
     """One staged pass; returns ``(pairs, picks, deferrals)``: the pair of
     each row, one ``(top, pair)`` per stage, and the pairs Hall's guard
     deferred.  Each top row takes its leftmost live pair, or, with the
     guard, its leftmost live pair after which the pending rows still
     match.  A top row with fewer than two live entries ends the pass with
-    fewer picks than rows, which the guard never lets happen."""
+    fewer picks than rows, which the guard never lets happen.  ``counts``
+    receives each stage's (phase, live counts) before its top row is taken."""
     surviving = (1 << m) - 1  # columns no row holds yet
     pairs = [None] * len(rows)  # by row
     picks: list[tuple[int, tuple[int, int]]] = []
     deferrals: list[DeferralRecord] = []
-    pools = _phases(rows)
-    for pool in pools:
+    # phase 1: the rows whose weight is the number of rows; phase 2: the rest
+    pools: tuple[list[int], list[int]] = ([], [])
+    for i, row in enumerate(rows):
+        pools[row.bit_count() != len(rows)].append(i)
+    for phase, pool in enumerate(pools, start=1):
         while pool:
+            if counts is not None:
+                counts.append((phase, tuple((i, (rows[i] & surviving).bit_count()) for i in pool)))
             # the lightest row, the lowest index among equals
             least = m + 1
             for i in pool:
@@ -185,7 +175,7 @@ def greedy_match(matrix: MatrixLike) -> tuple[MatchResult, AlgoTrace]:
     strands a row, because a completed plain pass is a matching of every
     residual, so the guard would have passed each of its pairs.  The
     trace keeps one ``(top row, pair)`` per stage; its ``stages`` records
-    are derived from them on first read.  Raises ``NoMatchingError``
+    are a replay of the pass on first read.  Raises ``NoMatchingError``
     exactly when the matrix has no two-per-row matching; its ``trace``
     is the stranded plain pass.
     """

@@ -123,19 +123,6 @@ def _exp_skew(a: np.ndarray) -> np.ndarray:
     return ((vecs * np.exp(-1j * lam)) @ vecs.conj().T).real
 
 
-def stabilizer_rotation(
-    model: ModelSpace, generators: Sequence[np.ndarray], coefficients: Sequence[float]
-) -> np.ndarray:
-    """exp of a coefficient combination of the stabilizer generators of a
-    vector, as ``stabilizer_generators(model, v)`` returns them: derived
-    once by the caller for any number of rotations."""
-    if len(coefficients) != len(generators):
-        raise InvalidParamsError("one coefficient per stabilizer generator")
-    if not generators:
-        return np.eye(model.n)
-    return _exp_skew(sum(c * g for c, g in zip(coefficients, generators)))
-
-
 # ---------------------------------------------------------------------------
 # Angle-ratio sampling.
 

@@ -1,3 +1,4 @@
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootmatch.errors import InvalidParamsError
 from rootmatch.exact import (
+    cayley,
     exact_rank,
     integer_inverse,
     integer_rank,
@@ -130,6 +133,45 @@ def test_integer_inverse_swaps_rows_and_flips_the_sign():
             integer_inverse(singular)
     with pytest.raises(ValueError, match="not square"):
         integer_inverse([[1, 0, 0], [0, 1, 0]])
+
+
+@st.composite
+def _skews(draw):
+    """Integer skew-symmetric n x n matrices, n = 1..6, entries in [-9, 9]."""
+    n = draw(st.integers(1, 6))
+    skew = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        skew[i][j] = draw(st.integers(-9, 9))
+        skew[j][i] = -skew[i][j]
+    return skew
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_skews(), st.integers(1, 5))
+def test_cayley_matches_fraction_inverse(skew, d):
+    n = len(skew)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = [[Fraction(x, d) for x in row] for row in skew]
+    inverse = fraction_inverse([[e + x for e, x in zip(*rows)] for rows in zip(eye, s)])
+    minus = [[e - x for e, x in zip(*rows)] for rows in zip(eye, s)]
+    want = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inverse)] for row in minus]
+    num, det = cayley(skew, d)
+    assert det > 0
+    assert all(type(x) is int for row in num for x in row)
+    assert [[Fraction(x, det) for x in row] for row in num] == want
+    gram = [[sum(a * b for a, b in zip(r, q)) for q in num] for r in num]
+    assert gram == [[det * det * e for e in row] for row in eye]
+
+
+def test_cayley_refuses_what_is_not_skew():
+    assert cayley([], 1) == ((), 1)
+    assert cayley(np.array([[0, 1], [-1, 0]]), 1) == (((0, -2), (2, 0)), 2)
+    for skew in ([[0, 1], [1, 0]], [[1]], [[0, 1]], [[0, 1], [-1]], [[0.0]], [[True]]):
+        with pytest.raises(InvalidParamsError):
+            cayley(skew, 1)
+    for d in (0, -1, 1.0, True):
+        with pytest.raises(InvalidParamsError):
+            cayley([[0, 1], [-1, 0]], d)
 
 
 def test_primitive_integer():

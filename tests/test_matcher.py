@@ -180,7 +180,7 @@ def test_hall_witness_refuses_a_row_already_matched():
         checks._check_witness(trace, deferral, "here")
 
 
-def test_phase1_last_row_swap_repair():
+def test_hall_guard_defers_on_three_maximal_walls():
     # three maximal walls: the leftmost pass strands the last phase-1
     # row, so the first row skips the pair it would have taken
     frame = make_frame(SL4, [(-3, 1, 1, 1), (1, -3, 1, 1), (1, 1, -3, 1)])
@@ -191,7 +191,7 @@ def test_phase1_last_row_swap_repair():
     _assert_deferrals(m.entries, trace)
 
 
-def test_phase2_put_back_repair():
+def test_hall_guard_defers_a_phase2_pair():
     rows = [
         [1, 1, 0, 0, 1, 0, 1, 0, 0],
         [1, 0, 1, 1, 0, 0, 0, 0, 1],
@@ -203,7 +203,7 @@ def test_phase2_put_back_repair():
     _assert_deferrals(rows, trace)
 
 
-def test_put_back_with_single_usable_fresh_column():
+def test_hall_guard_keeps_a_column_exclusive_to_the_last_row():
     # Tight case: six columns, one of them exclusive to the last row.
     frame = make_frame(SL4, [(12, -4, -4, -4), (13, -3, -5, -5), (-42, 26, -10, 26)])
     m = build_matrix(frame)
@@ -213,7 +213,7 @@ def test_put_back_with_single_usable_fresh_column():
     _assert_deferrals(m.entries, trace)
 
 
-def test_repair_fires_at_most_once_per_phase():
+def test_no_matching_raises_no_matching_error():
     # three identical rows on two columns: no matching exists, so the
     # greedy pass raises instead of deferring
     rows = [

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from rootmatch.modelgeom import (
     sample_ratios,
     snap_to_singular,
     stabilizer_generators,
-    stabilizer_rotation,
     trace_inner,
 )
 from rootmatch.rootdata import space
@@ -116,6 +116,20 @@ def test_criterion_6_catches_a_symmetric_generator(monkeypatch):
     monkeypatch.setattr(ModelSpace, "k_matrix", symmetric)
     with pytest.raises(CheckFailedError, match=r"n=3, pair \(0, 1\)"):
         checks.bracket_identity_exact(checks.Inputs())
+
+
+def test_criterion_6_catches_a_non_unit_generator(monkeypatch):
+    # a planted fault: |k_01| holds a 2, so its Gram entry is 4, not 2
+    original = ModelSpace.k_matrix
+
+    def scaled(self, i, j):
+        m = original(self, i, j)
+        m[i, j] *= 1 + ((i, j) == (0, 1))
+        return m
+
+    monkeypatch.setattr(ModelSpace, "k_matrix", scaled)
+    with pytest.raises(CheckFailedError, match=r"^n=3: the Gram matrix of the \|k_ij\| is not 2I$"):
+        checks.fperp_gram_identity(checks.Inputs())
 
 
 def test_fperp_gram_and_count():
@@ -296,41 +310,37 @@ def test_stabilizer_generators_examples():
     assert len(stabilizer_generators(MODEL4, (1, 1, 1, -3))) == 3
 
 
-def test_stabilizer_exponentials_fix_vector():
-    v = (1, 1, 1, -3)
-    vm = np.diag(np.asarray(v, dtype=float))
-    rng = np.random.default_rng(5)
-    gens = stabilizer_generators(MODEL4, v)
-    for _ in range(20):
-        h = stabilizer_rotation(MODEL4, gens, rng.uniform(-2, 2, size=len(gens)))
-        assert np.abs(h @ vm @ h.T - vm).max() <= 1e-12
-
-
 def _rotation_deriving_generators(model, v, coefficients):
-    """The former stabilizer_rotation: generators derived on every call."""
+    """exp of a coefficient combination of the stabilizer generators of v."""
     gens = stabilizer_generators(model, v)
     if not gens:
         return np.eye(model.n)
     return _exp_skew(sum(c * g for c, g in zip(coefficients, gens)))
 
 
-def test_stabilizer_rotation_from_held_generators_is_bitwise_unchanged():
-    from rootmatch.chamber import enumerate_faces
+def test_stabilizer_exponentials_fix_vector():
+    v = (1, 1, 1, -3)
+    vm = np.diag(np.asarray(v, dtype=float))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h = _rotation_deriving_generators(MODEL4, v, rng.uniform(-2, 2, size=3))
+        assert np.abs(h @ vm @ h.T - vm).max() <= 1e-12
 
-    rng = np.random.default_rng(7)
-    for n in (4, 5):
-        model = ModelSpace(n)
-        for face in enumerate_faces(space(f"SL({n},R)")):
-            v = face.witness
-            if not any(v):  # the face of all simple roots is the origin
-                continue
-            gens = stabilizer_generators(model, v)
-            for _ in range(5):
-                coeffs = rng.uniform(-2.0, 2.0, size=len(gens))
-                held = stabilizer_rotation(model, gens, coeffs)
-                assert np.array_equal(held, _rotation_deriving_generators(model, v, coeffs))
-    with pytest.raises(InvalidParamsError):
-        stabilizer_rotation(MODEL4, stabilizer_generators(MODEL4, (1, 1, 1, -3)), [1.0])
+
+def test_criterion_7_catches_a_generator_across_blocks(monkeypatch):
+    # a planted fault: face (0,) of SL(4) also lists a root that does not
+    # vanish on its witness, so one generator joins two blocks of v
+    original = checks.enumerate_faces
+
+    def planted(sp):
+        faces = original(sp)
+        face = faces[1]
+        extra = next(r for r in sp.rootsys.positives if r not in face.vanishing)
+        return [faces[0], dataclasses.replace(face, vanishing=face.vanishing + (extra,)), *faces[2:]]
+
+    monkeypatch.setattr(checks, "enumerate_faces", planted)
+    with pytest.raises(CheckFailedError, match=r"^n=4 face \(0,\): a rotation moves v$"):
+        checks.stabilizer_zero_case(checks.Inputs())
 
 
 def test_stabilizer_rotations_keep_q_in_fperp():
